@@ -30,14 +30,7 @@ from .frame_analysis import (
     sum_squares,
 )
 from .partition import Partition, Support, V_MODE, VSTAR_MODE, build_partition
-from .spectral import FrequencyGrid, dft, idft, modulate, translate
-from .transform import (
-    DualBank,
-    EwtCoefficients,
-    dual_bank,
-    forward,
-    inverse,
-    inverse_tight,
-)
+from .spectral import FrequencyGrid, dft, modulate, translate
+from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
 
 __version__ = "0.1.0"

@@ -167,14 +167,7 @@ def cmd_inverse(args) -> int:
         raise ShapeMismatch(
             f"coefficient file holds {rows.shape[1]} samples, config says {config.n_samples}"
         )
-    coeffs = EwtCoefficients(
-        rows=rows,
-        support_indices=indices,
-        partition=bank.partition,
-        params=bank.params,
-        grid=bank.grid,
-    )
-    rec = _reconstruct(args, config, bank, coeffs)
+    rec = _reconstruct(args, config, bank, EwtCoefficients(rows, indices))
     formats.write_signal_csv(args.out, rec, real_only=config.real_output)
     return 0
 
@@ -188,7 +181,7 @@ def cmd_roundtrip(args) -> int:
     denom = float(np.linalg.norm(signal))
     err = float(np.linalg.norm(rec - signal)) / denom if denom else 0.0
     payload = {"rel_l2_error": err, "max_imag": float(np.abs(rec.imag).max())}
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 
@@ -206,7 +199,7 @@ def cmd_frame(args) -> int:
     }
     if args.sum_squares:
         payload["sum_squares"] = [float(v) for v in report.sum_squares]
-    _emit(json.dumps(payload), args.out)
+    _emit(json.dumps(payload, allow_nan=False), args.out)
     return 0
 
 

@@ -1,5 +1,7 @@
 """Analytic filter evaluators for the four empirical wavelet families, plus a
-sampler that freezes them onto a frequency grid.
+sampler that freezes them onto a frequency grid as a :class:`FilterBank`.
+Littlewood-Paley and Meyer share one sin/cos(pi/2 beta) roll-off profile and
+differ only in where its knots sit.
 
 Evaluators accept scalar or array frequencies, are defined on all of R, and
 are pure, so sampling a bank twice yields bit-identical spectra. Littlewood-
@@ -62,12 +64,12 @@ class FamilyParams:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
-    """Family filters sampled on a grid.
+    """Filters sampled on a grid: an analysis family or its pointwise dual.
 
     ``spectra[i, k]`` is filter i (in support enumeration order) at grid bin
-    k. ``scale_factors`` holds the dilation width |support| where the family
-    is built by translate-and-scale (Shannon and Gabor compact supports);
-    piecewise-direct constructions and rays carry None.
+    k. ``singular_bins`` is empty for sampled families; on a dual bank it
+    lists the bins where the squared filter sum fell below the guard and
+    every filter was zero-filled.
     """
 
     partition: Partition
@@ -75,7 +77,7 @@ class FilterBank:
     grid: FrequencyGrid
     spectra: np.ndarray
     support_indices: tuple
-    scale_factors: tuple
+    singular_bins: tuple = ()
 
     @property
     def n_filters(self) -> int:
@@ -95,14 +97,6 @@ def beta(x):
     return out
 
 
-def _rolloff_cos(u):
-    return np.cos(HALF_PI * np.asarray(beta(u), dtype=float))
-
-
-def _rolloff_sin(u):
-    return np.sin(HALF_PI * np.asarray(beta(u), dtype=float))
-
-
 def _as_xi(xi):
     arr = np.asarray(xi, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -112,6 +106,38 @@ def _finish(out, scalar):
     out = np.asarray(out, dtype=complex)
     if scalar:
         return complex(out[0])
+    return out
+
+
+def _bump(x, rise, fall):
+    """Roll-off profile shared by Littlewood-Paley and Meyer.
+
+    ``rise`` and ``fall`` are ``(start, stop, width)`` ramps or None: the
+    profile climbs as sin(pi/2 beta((x - start) / width)) on [start, stop),
+    holds 1 between the ramps, falls as cos(pi/2 beta((x - start) / width))
+    on [start, stop] and is 0 elsewhere. A missing ramp extends the plateau
+    to that end of the line. ``width`` is passed rather than recomputed as
+    stop - start because, in floating point, Littlewood-Paley's 2t need not
+    equal (v + t) - (v - t). Writes go plateau, fall, rise, so a rise
+    overlapping the fall wins. The
+    fall is exactly 1 at its start, so a one-point plateau (interior Meyer
+    filters) needs no pass of its own.
+    """
+    out = np.zeros(x.shape)
+    if rise is None:
+        out[x <= fall[0]] = 1.0
+    elif fall is None:
+        out[x >= rise[1]] = 1.0
+    elif rise[1] < fall[0]:
+        out[(x >= rise[1]) & (x <= fall[0])] = 1.0
+    if fall is not None:
+        start, stop, width = fall
+        m = (x >= start) & (x <= stop)
+        out[m] = np.cos(HALF_PI * beta((x[m] - start) / width))
+    if rise is not None:
+        start, stop, width = rise
+        m = (x >= start) & (x < stop)
+        out[m] = np.sin(HALF_PI * beta((x[m] - start) / width))
     return out
 
 
@@ -156,34 +182,16 @@ def eval_lp(partition: Partition, gamma, n: int, xi):
     gamma = _check_gamma(partition, gamma)
     s = partition.support(n)
     x, scalar = _as_xi(xi)
-    out = np.zeros(x.shape)
-
-    def half_width(value):
-        if value == 0.0:
-            return _zero_half_width(partition, gamma)
-        return gamma * abs(value)
-
     if s.is_left_ray and s.is_right_ray:
         raise RayWithoutNeighbor("cannot build a filter on a two-sided ray")
-    if s.is_left_ray:
-        t = half_width(s.hi)
-        out[x <= s.hi - t] = 1.0
-        m = (x > s.hi - t) & (x <= s.hi + t)
-        out[m] = _rolloff_cos((x[m] - (s.hi - t)) / (2.0 * t))
-    elif s.is_right_ray:
-        t = half_width(s.lo)
-        out[x >= s.lo + t] = 1.0
-        m = (x >= s.lo - t) & (x < s.lo + t)
-        out[m] = _rolloff_sin((x[m] - (s.lo - t)) / (2.0 * t))
-    else:
-        t_lo = half_width(s.lo)
-        t_hi = half_width(s.hi)
-        out[(x >= s.lo + t_lo) & (x <= s.hi - t_hi)] = 1.0
-        m = (x > s.hi - t_hi) & (x <= s.hi + t_hi)
-        out[m] = _rolloff_cos((x[m] - (s.hi - t_hi)) / (2.0 * t_hi))
-        m = (x >= s.lo - t_lo) & (x < s.lo + t_lo)
-        out[m] = _rolloff_sin((x[m] - (s.lo - t_lo)) / (2.0 * t_lo))
-    return _finish(out, scalar)
+
+    def ramp(value):
+        t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
+        return (value - t, value + t, 2.0 * t)
+
+    rise = None if s.is_left_ray else ramp(s.lo)
+    fall = None if s.is_right_ray else ramp(s.hi)
+    return _finish(_bump(x, rise, fall), scalar)
 
 
 # -- Meyer ----------------------------------------------------------------------
@@ -216,28 +224,19 @@ def eval_meyer(partition: Partition, n: int, xi):
     centers = _meyer_centers(partition)
     pos = partition.ordinal(n)
     x, scalar = _as_xi(xi)
-    profile = np.zeros(x.shape)
-
     if pos == 0:
         c0, c1 = centers[0], centers[1]
-        profile[x <= c0] = 1.0
-        m = (x > c0) & (x <= c1)
-        profile[m] = _rolloff_cos((x[m] - c0) / (c1 - c0))
+        rise, fall = None, (c0, c1, c1 - c0)
         pref = _meyer_prefactor(c1 - c0, abs(c1))
     elif pos == len(centers) - 1:
         c0, c1 = centers[-2], centers[-1]
-        m = (x >= c0) & (x < c1)
-        profile[m] = _rolloff_sin((x[m] - c0) / (c1 - c0))
-        profile[x >= c1] = 1.0
+        rise, fall = (c0, c1, c1 - c0), None
         pref = _meyer_prefactor(c1 - c0, abs(c0))
     else:
         below, mid, above = centers[pos - 1], centers[pos], centers[pos + 1]
-        m = (x >= below) & (x < mid)
-        profile[m] = _rolloff_sin((x[m] - below) / (mid - below))
-        m = (x >= mid) & (x <= above)
-        profile[m] = _rolloff_cos((x[m] - mid) / (above - mid))
+        rise, fall = (below, mid, mid - below), (mid, above, above - mid)
         pref = _meyer_prefactor(above - below, max(abs(below), abs(above)))
-    return _finish(pref * profile, scalar)
+    return _finish(pref * _bump(x, rise, fall), scalar)
 
 
 # -- Shannon ---------------------------------------------------------------------
@@ -338,15 +337,10 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
     ]
     spectra = np.stack(rows)
     spectra.setflags(write=False)
-    factors = tuple(
-        s.length if params.family in (SHANNON, GABOR) and not s.is_ray else None
-        for s in partition.supports
-    )
     return FilterBank(
         partition=partition,
         params=params,
         grid=grid,
         spectra=spectra,
         support_indices=partition.support_indices,
-        scale_factors=factors,
     )

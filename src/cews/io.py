@@ -24,8 +24,8 @@ from .families import (
     FilterBank,
     sample_bank,
 )
-from .partition import MODES, VSTAR_MODE, Partition, build_partition
-from .spectral import FrequencyGrid, dft
+from .partition import MODES, VSTAR_MODE, build_partition
+from .spectral import FrequencyGrid
 
 COEF_MAGIC = b"EWTC"
 COEF_VERSION = 1
@@ -214,22 +214,6 @@ def realize_bank(config: JobConfig) -> FilterBank:
     return sample_bank(partition, params, FrequencyGrid(config.n_samples))
 
 
-def partition_as_json(partition: Partition) -> dict:
-    return {
-        "mode": partition.mode,
-        "boundaries": [encode_boundary(v) for v in partition.boundaries],
-    }
-
-
-def partition_from_json(obj) -> Partition:
-    if not isinstance(obj, dict):
-        raise InputFormatError("partition root must be a JSON object")
-    mode = _require(obj, "mode", str)
-    raw = _require(obj, "boundaries", list)
-    values = [decode_boundary(v, f"boundaries[{i}]") for i, v in enumerate(raw)]
-    return build_partition(mode, values)
-
-
 # -- signal files ---------------------------------------------------------------
 
 
@@ -258,6 +242,9 @@ def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
         except ValueError as exc:
             raise InputFormatError(f"{path}: line {i}: {exc}") from exc
         values[i - 2] = complex(re, im)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputFormatError(f"{path}: line {bad[0] + 2}: sample is not finite")
     if n_expected is not None and values.size != n_expected:
         raise LengthMismatch(f"{path}: {values.size} samples, expected {n_expected}")
     return values
@@ -282,6 +269,9 @@ def read_signal_raw(path, n_expected: int = None) -> np.ndarray:
     if len(blob) % 8:
         raise InputFormatError(f"{path}: size {len(blob)} is not a multiple of 8")
     flat = np.frombuffer(blob, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise InputFormatError(f"{path}: float64 value {bad[0]} is not finite")
     if n_expected is None:
         return flat.astype(complex)
     if flat.size == n_expected:
@@ -329,6 +319,10 @@ def read_coefficients(path):
     rows = np.frombuffer(
         blob, dtype="<c16", count=n * count, offset=16 + 4 * count
     ).reshape(count, n).astype(complex)
+    bad = np.flatnonzero(~np.isfinite(rows))
+    if bad.size:
+        row, sample = divmod(int(bad[0]), n)
+        raise InputFormatError(f"{path}: row {row}, sample {sample} is not finite")
     return rows, indices
 
 
@@ -348,7 +342,7 @@ def propose_boundaries(signal, count: int) -> dict:
     x = np.asarray(signal, dtype=complex)
     if x.ndim != 1 or x.size < 4:
         raise InputFormatError("boundary proposal needs at least 4 samples")
-    mag = np.abs(dft(x))
+    mag = np.abs(np.fft.fft(x))
     xi = FrequencyGrid(x.size).xi
     if np.any(x.imag):
         cuts = _cut_bins(mag, np.argsort(xi), count, anchor_first=False)

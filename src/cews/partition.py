@@ -140,10 +140,12 @@ class Partition:
     def max_gamma(self) -> float:
         """Supremum of admissible transition ratios; valid gamma are below it.
 
-        Each compact support contributes length / (2 |center|). In Vstar mode
-        the zero-straddling support (index -1) is skipped and the result is
-        capped at 1/2, which covers the symmetric case where that support is
-        centered exactly at zero.
+        Each compact support contributes length / (2 |center|), and the result
+        is capped at 1/2. In Vstar mode the zero-straddling support (index -1)
+        is skipped; the cap covers the symmetric case where it is centered
+        exactly at zero. In V mode the zero boundary borrows the half-width
+        gamma * min(|neighbour boundaries|), which overlaps the next boundary's
+        transition once gamma reaches 1/2.
         """
         ratios = []
         for s in self._supports:
@@ -156,11 +158,9 @@ class Partition:
                 # unreachable for validated partitions; kept as a guard
                 raise DegenerateCenter(f"compact support {s.index} is centered at zero")
             ratios.append(s.length / (2.0 * center))
-        if self.mode == VSTAR_MODE:
-            return min(ratios + [0.5])
-        if not ratios:
+        if self.mode == V_MODE and not ratios:
             raise DegenerateCenter("no compact support available to bound gamma")
-        return min(ratios)
+        return min(ratios + [0.5])
 
 
 def build_partition(mode: str, boundary_values) -> Partition:

@@ -2,10 +2,13 @@
 
 Signals and spectra are plain 1-D complex ndarrays; a :class:`FrequencyGrid`
 pins the sample count and the bin-to-frequency mapping. The forward DFT is
-unnormalized and the inverse carries the 1/N factor, so the convolution
+unnormalized and the inverse carries the 1/N factor (numpy's ``fft``/``ifft``
+convention, which the rest of the package calls directly), so the convolution
 theorem reads as a plain pointwise product of spectra. All functions are pure
 and safe to call concurrently.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +17,7 @@ from .errors import LengthMismatch
 TWO_PI = 2.0 * np.pi
 
 
+@dataclass(frozen=True)
 class FrequencyGrid:
     """N-point sampling of the normalized frequency interval (-pi, pi].
 
@@ -22,10 +26,11 @@ class FrequencyGrid:
     holds +pi exactly.
     """
 
-    __slots__ = ("n_samples", "xi")
+    n_samples: int
+    xi: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n_samples: int):
-        n = int(n_samples)
+    def __post_init__(self):
+        n = int(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
         k = np.arange(n)
@@ -36,18 +41,6 @@ class FrequencyGrid:
         xi.setflags(write=False)
         object.__setattr__(self, "n_samples", n)
         object.__setattr__(self, "xi", xi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrequencyGrid is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, FrequencyGrid) and other.n_samples == self.n_samples
-
-    def __hash__(self):
-        return hash((FrequencyGrid, self.n_samples))
-
-    def __repr__(self):
-        return f"FrequencyGrid(n_samples={self.n_samples})"
 
     @property
     def spacing(self) -> float:
@@ -65,11 +58,6 @@ def _as_signal(values) -> np.ndarray:
 def dft(signal) -> np.ndarray:
     """Forward DFT, X_k = sum_t x_t exp(-2i pi k t / N), no normalization."""
     return np.fft.fft(_as_signal(signal))
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse DFT with the 1/N factor, so idft(dft(x)) recovers x."""
-    return np.fft.ifft(_as_signal(spectrum))
 
 
 def _check_integer(a):

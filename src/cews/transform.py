@@ -2,64 +2,41 @@
 construction, and exact reconstruction.
 
 Each coefficient row n is the inverse DFT of the signal spectrum times the
-conjugated filter n. Reconstruction runs entirely in the spectral domain:
+conjugated filter n. The dual of a bank is another :class:`FilterBank` on the
+same partition and grid. Reconstruction runs entirely in the spectral domain:
 rows are re-transformed, multiplied by the dual (or tight) filters, summed in
 fixed index order and inverted once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FamilyParams, FilterBank
+from .families import FilterBank
 from .frame_analysis import sum_squares
-from .partition import Partition
-from .spectral import FrequencyGrid
 
 
 @dataclass(frozen=True, eq=False)
 class EwtCoefficients:
     """Transform output: one complex time series per support.
 
-    ``rows[i, b]`` is the coefficient of filter i (support enumeration order)
-    at sample position b. Partition and family metadata are copied from the
-    producing bank.
+    ``rows[i, b]`` is the coefficient of filter i at sample position b;
+    ``support_indices`` names the support of each row, in enumeration order.
     """
 
     rows: np.ndarray
     support_indices: tuple
-    partition: Partition
-    params: FamilyParams
-    grid: FrequencyGrid
 
     @property
     def n_samples(self) -> int:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class DualBank:
-    """Dual filters phi_n = psi_n / sum_m |psi_m|^2 sampled on the grid.
-
-    Bins where the squared filter sum fell below ``epsilon_guard`` are listed
-    in ``singular_bins`` and carry phi_n = 0 (only reachable with
-    allow_singular=True).
-    """
-
-    partition: Partition
-    params: FamilyParams
-    grid: FrequencyGrid
-    spectra: np.ndarray
-    support_indices: tuple
-    epsilon_guard: float
-    singular_bins: tuple
-
-
 def forward(signal, bank: FilterBank) -> EwtCoefficients:
     """Analyze a signal against a sampled filter bank.
 
-    Row n equals idft(dft(signal) * conj(spectra[n])); the operation is
+    Row n equals ifft(fft(signal) * conj(spectra[n])); the operation is
     linear in the signal and rows are mutually independent.
     """
     x = np.asarray(signal, dtype=complex)
@@ -69,21 +46,15 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
         )
     rows = np.fft.ifft(np.fft.fft(x)[None, :] * np.conj(bank.spectra), axis=1)
     rows.setflags(write=False)
-    return EwtCoefficients(
-        rows=rows,
-        support_indices=bank.support_indices,
-        partition=bank.partition,
-        params=bank.params,
-        grid=bank.grid,
-    )
+    return EwtCoefficients(rows=rows, support_indices=bank.support_indices)
 
 
-def dual_bank(bank, epsilon: float = 1e-12, allow_singular: bool = False) -> DualBank:
+def dual_bank(bank: FilterBank, epsilon: float = 1e-12, allow_singular: bool = False) -> FilterBank:
     """Pointwise dual filters phi_n = psi_n / S with S = sum_m |psi_m|^2.
 
     Bins with S < epsilon make the division meaningless: by default they
     raise SingularFrame (carrying the bin list); with allow_singular=True the
-    dual is zeroed there and the bins are recorded on the result.
+    dual is zeroed there and the bins are listed in ``singular_bins``.
     """
     epsilon = float(epsilon)
     if epsilon <= 0.0:
@@ -98,38 +69,30 @@ def dual_bank(bank, epsilon: float = 1e-12, allow_singular: bool = False) -> Dua
     spectra = bank.spectra / np.where(bad, 1.0, s)
     spectra[:, bad] = 0.0
     spectra.setflags(write=False)
-    return DualBank(
-        partition=bank.partition,
-        params=bank.params,
-        grid=bank.grid,
-        spectra=spectra,
-        support_indices=bank.support_indices,
-        epsilon_guard=epsilon,
-        singular_bins=tuple(int(b) for b in bins),
-    )
+    return replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
 
 
-def _accumulate(coeffs: EwtCoefficients, spectra: np.ndarray) -> np.ndarray:
-    if coeffs.rows.shape != spectra.shape:
+def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
+    if coeffs.support_indices != bank.support_indices:
+        raise ShapeMismatch("coefficient rows and bank filters index different supports")
+    if coeffs.rows.shape != bank.spectra.shape:
         raise ShapeMismatch(
-            f"coefficient shape {coeffs.rows.shape} does not match bank shape {spectra.shape}"
+            f"coefficient shape {coeffs.rows.shape} does not match bank shape {bank.spectra.shape}"
         )
     # fixed enumeration order keeps the summation bit-deterministic
     acc = np.zeros(coeffs.rows.shape[1], dtype=complex)
-    for row, filt in zip(coeffs.rows, spectra):
+    for row, filt in zip(coeffs.rows, bank.spectra):
         acc += np.fft.fft(row) * filt
     return acc
 
 
-def inverse(coeffs: EwtCoefficients, dual: DualBank) -> np.ndarray:
+def inverse(coeffs: EwtCoefficients, dual: FilterBank) -> np.ndarray:
     """Reconstruct the signal from coefficients and a dual bank.
 
     For coeffs = forward(f, bank) and dual = dual_bank(bank) this recovers f
-    exactly on every non-singular bin.
+    exactly on every bin outside ``dual.singular_bins``.
     """
-    if coeffs.support_indices != dual.support_indices:
-        raise ShapeMismatch("coefficient rows and dual filters index different supports")
-    return np.fft.ifft(_accumulate(coeffs, dual.spectra))
+    return np.fft.ifft(_accumulate(coeffs, dual))
 
 
 def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float = 1.0) -> np.ndarray:
@@ -141,6 +104,4 @@ def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float 
     a = float(frame_bound)
     if a <= 0.0:
         raise NonPositiveA(f"frame bound must be > 0, got {a}")
-    if coeffs.support_indices != bank.support_indices:
-        raise ShapeMismatch("coefficient rows and bank filters index different supports")
-    return np.fft.ifft(_accumulate(coeffs, bank.spectra) / a)
+    return np.fft.ifft(_accumulate(coeffs, bank) / a)

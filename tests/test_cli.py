@@ -1,14 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cews
 from cews import FamilyParams, FrequencyGrid, build_partition, forward, sample_bank
 from cews.cli import main
-from cews.io import read_coefficients, read_signal_csv, write_signal_csv
+from cews.io import read_coefficients, read_signal_csv, write_coefficients, write_signal_csv
 
 from conftest import scaled_bounds
 
@@ -307,6 +310,49 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(err)["error"] == "NotSorted"
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_sample_exits_2(self, capsys, config_path, tmp_path, token):
+        sig = tmp_path / "signal.csv"
+        sig.write_text("re,im\n" + "1.0,0.0\n" * 40 + f"0.5,{token}\n" + "1.0,0.0\n" * 23)
+        code, out, err = run(
+            capsys, "roundtrip", "--config", config_path(n_samples=64), "--signal", str(sig)
+        )
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "InputFormatError"
+        assert "line 42" in payload["message"]
+
+    def test_non_finite_raw_sample_exits_2(self, capsys, config_path, tmp_path):
+        x = np.ones(64)
+        x[7] = np.nan
+        raw = tmp_path / "signal.bin"
+        raw.write_bytes(x.astype("<f8").tobytes())
+        code, out, err = run(
+            capsys, "roundtrip", "--config", config_path(n_samples=64),
+            "--signal", str(raw), "--raw",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "InputFormatError"
+
+    def test_non_finite_coefficient_exits_2(self, capsys, config_path, signal_path, tmp_path):
+        config = config_path(n_samples=64)
+        sig, _ = signal_path(n=64)
+        coef = tmp_path / "coef.ewtc"
+        run(capsys, "forward", "--config", config, "--signal", sig, "--out", str(coef))
+        rows, indices = read_coefficients(coef)
+        rows = rows.copy()
+        rows[2, 5] = complex(0.0, np.inf)
+        write_coefficients(coef, rows, indices)
+        rec = tmp_path / "rec.csv"
+        code, _, err = run(
+            capsys, "inverse", "--config", config, "--coef", str(coef), "--out", str(rec)
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "InputFormatError"
+        assert "row 2, sample 5" in payload["message"]
+        assert not rec.exists()
+
     def test_wrong_signal_length_exits_1(self, capsys, config_path, signal_path):
         sig, _ = signal_path(n=100)
         code, _, err = run(
@@ -355,10 +401,14 @@ def test_module_entry_point(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**LP_CONFIG, "n_samples": 8}))
     out = tmp_path / "filters.csv"
+    # the child must import the package under test, wherever pytest found it
+    src = str(Path(cews.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cews", "filters", "--config", str(config), "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert out.exists()

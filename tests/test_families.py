@@ -277,16 +277,6 @@ class TestSampleBank:
         assert bank.support_indices == (-4, -3, -2, -1, 1, 2, 3)
         assert bank.spectra.dtype == np.complex128
 
-    def test_scale_factors(self, grid_partition):
-        grid = FrequencyGrid(64)
-        shannon = sample_bank(grid_partition, FamilyParams("shannon"), grid)
-        expected = tuple(
-            None if s.is_ray else s.length for s in grid_partition.supports
-        )
-        assert shannon.scale_factors == expected
-        lp = lp_bank(grid_partition, n_samples=64)
-        assert lp.scale_factors == (None,) * 7
-
     def test_sampling_matches_pointwise_evaluator(self, grid_partition):
         grid = FrequencyGrid(128)
         bank = sample_bank(grid_partition, FamilyParams("meyer"), grid)

@@ -34,7 +34,6 @@ def zero_bank(n_samples=64):
         grid=FrequencyGrid(n_samples),
         spectra=spectra,
         support_indices=partition.support_indices,
-        scale_factors=(None, 2.0, None),
     )
 
 

@@ -42,7 +42,6 @@ def allpass_bank(n_samples):
         grid=grid,
         spectra=spectra,
         support_indices=(0,),
-        scale_factors=(None,),
     )
 
 
@@ -100,6 +99,8 @@ class TestDualBank:
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
         dual = dual_bank(bank)
+        assert isinstance(dual, FilterBank)
+        assert (dual.partition, dual.params, dual.grid) == (bank.partition, bank.params, bank.grid)
         assert np.abs(dual.spectra - bank.spectra).max() < 1e-10
         assert dual.singular_bins == ()
 
