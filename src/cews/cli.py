@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: filters | forward | inverse | roundtrip | frame | detect.
-Exit codes: 0 success, 1 math/validation error, 2 I/O or parse error; errors
-are reported as one-line JSON objects on stderr.
+Exit codes: 0 success, 1 math/validation error, overflow or failed allocation,
+2 I/O or parse error; errors are reported as one-line JSON objects on stderr.
 """
 
 import argparse
@@ -131,17 +131,11 @@ def cmd_filters(args) -> int:
     config = _load_config(args)
     bank = formats.realize_bank(config)
     order = np.argsort(bank.grid.xi)
-    header = ["xi"]
-    for n in bank.support_indices:
+    header, columns = ["xi"], [bank.grid.xi[order]]
+    for n, row in zip(bank.support_indices, bank.spectra[:, order]):
         header += [f"f{n}_re", f"f{n}_im"]
-    lines = [",".join(header)]
-    for k in order:
-        cells = [repr(float(bank.grid.xi[k]))]
-        for row in bank.spectra:
-            cells.append(repr(float(row[k].real)))
-            cells.append(repr(float(row[k].imag)))
-        lines.append(",".join(cells))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        columns += [row.real, row.imag]
+    formats.write_csv(args.out, header, columns)
     return 0
 
 
@@ -227,13 +221,17 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and NaN abort the command; Gabor tails underflow by design
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except InputFormatError as exc:
         return _fail(exc, 2)
     except EwtError as exc:
         return _fail(exc, 1)
     except OSError as exc:
         return _fail(exc, 2)
+    except (FloatingPointError, MemoryError) as exc:
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

@@ -79,10 +79,6 @@ class FilterBank:
     support_indices: tuple
     singular_bins: tuple = ()
 
-    @property
-    def n_filters(self) -> int:
-        return self.spectra.shape[0]
-
 
 def beta(x):
     """Roll-off polynomial x^4 (35 - 84x + 70x^2 - 20x^3).

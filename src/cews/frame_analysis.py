@@ -28,9 +28,6 @@ class FrameReport:
     used to build the report.
     """
 
-    family: str
-    n_samples: int
-    support_indices: tuple
     sum_squares: np.ndarray
     a_empirical: float
     b_empirical: float
@@ -105,9 +102,6 @@ def frame_report(bank, epsilon: float = 1e-12) -> FrameReport:
     s = sum_squares(bank)
     a_ana, b_ana = analytic_bounds(bank.params, bank.partition)
     return FrameReport(
-        family=bank.params.family,
-        n_samples=bank.grid.n_samples,
-        support_indices=bank.support_indices,
         sum_squares=s,
         a_empirical=float(s.min()),
         b_empirical=float(s.max()),

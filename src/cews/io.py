@@ -8,7 +8,7 @@ All writers are deterministic: floats are serialized through Python's repr
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,21 +29,10 @@ from .spectral import FrequencyGrid
 
 COEF_MAGIC = b"EWTC"
 COEF_VERSION = 1
+MAX_N_SAMPLES = 2**32 - 1  # the EWTC header stores N as u32
 
 DEFAULT_EPSILON = 1e-12
 DEFAULT_GAMMA_FRACTION = 0.9  # CLI default gamma = fraction * max_gamma
-
-_CONFIG_FIELDS = {
-    "mode",
-    "boundaries",
-    "family",
-    "gamma",
-    "gabor_rays",
-    "n_samples",
-    "epsilon",
-    "allow_singular",
-    "real_output",
-}
 
 
 @dataclass(frozen=True)
@@ -59,6 +48,9 @@ class JobConfig:
     epsilon: float = DEFAULT_EPSILON
     allow_singular: bool = False
     real_output: bool = False
+
+
+_CONFIG_FIELDS = {f.name for f in fields(JobConfig)}
 
 
 def decode_boundary(value, where: str) -> float:
@@ -93,6 +85,8 @@ def _require(obj, key, kind, where=None):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputFormatError(f"{where}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise InputFormatError(f"{where}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -134,8 +128,8 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
         n_samples = int(n_samples_override)
     else:
         n_samples = _require(obj, "n_samples", int)
-    if n_samples < 1:
-        raise InputFormatError("n_samples: must be >= 1")
+    if not 1 <= n_samples <= MAX_N_SAMPLES:
+        raise InputFormatError(f"n_samples: must lie in [1, {MAX_N_SAMPLES}]")
 
     gamma = None
     if "gamma" in obj:
@@ -175,8 +169,15 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
     )
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_config(path, n_samples_override: int = None) -> JobConfig:
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -187,8 +188,8 @@ def load_config(path, n_samples_override: int = None) -> JobConfig:
 def convert_hz(config: JobConfig, sample_rate: float) -> JobConfig:
     """Reinterpret finite boundaries as Hz and convert to radians."""
     rate = float(sample_rate)
-    if rate <= 0.0:
-        raise InputFormatError("sample rate must be > 0")
+    if not 0.0 < rate < math.inf:
+        raise InputFormatError(f"sample rate must be finite and > 0, got {rate}")
     scale = 2.0 * math.pi / rate
     converted = tuple(v * scale if math.isfinite(v) else v for v in config.boundaries)
     return replace(config, boundaries=converted)
@@ -219,7 +220,7 @@ def realize_bank(config: JobConfig) -> FilterBank:
 
 def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
     """Read a signal CSV with header 're' or 're,im'."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -250,15 +251,19 @@ def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
     return values
 
 
+def write_csv(path, header, columns) -> None:
+    """One header line, then one line per row of the float columns."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_signal_csv(path, values, real_only: bool = False) -> None:
     x = np.asarray(values, dtype=complex)
-    lines = ["re" if real_only else "re,im"]
-    for v in x:
-        if real_only:
-            lines.append(repr(float(v.real)))
-        else:
-            lines.append(f"{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if real_only:
+        write_csv(path, ["re"], [x.real])
+    else:
+        write_csv(path, ["re", "im"], [x.real, x.imag])
 
 
 def read_signal_raw(path, n_expected: int = None) -> np.ndarray:

@@ -104,9 +104,6 @@ class Partition:
 
     # -- geometry -------------------------------------------------------------
 
-    def support_length(self, n: int) -> float:
-        return self.support(n).length
-
     def support_center(self, n: int) -> float:
         """Center frequency of support n.
 

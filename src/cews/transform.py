@@ -28,10 +28,6 @@ class EwtCoefficients:
     rows: np.ndarray
     support_indices: tuple
 
-    @property
-    def n_samples(self) -> int:
-        return self.rows.shape[1]
-
 
 def forward(signal, bank: FilterBank) -> EwtCoefficients:
     """Analyze a signal against a sampled filter bank.

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -25,3 +26,12 @@ def example_partition():
 def grid_partition():
     """The example partition shrunk into (-pi, pi) for sampling."""
     return build_partition("Vstar", scaled_bounds())
+
+
+def error_payload(out, err):
+    """The one JSON error line a failing CLI command must leave on stderr."""
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert isinstance(payload["error"], str) and isinstance(payload["message"], str)
+    return payload

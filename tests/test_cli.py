@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import cews
+import cews.io
 from cews import FamilyParams, FrequencyGrid, build_partition, forward, sample_bank
 from cews.cli import main
 from cews.io import read_coefficients, read_signal_csv, write_coefficients, write_signal_csv
 
-from conftest import scaled_bounds
+from conftest import error_payload, scaled_bounds
 
 LP_CONFIG = {
     "mode": "Vstar",
@@ -83,6 +84,21 @@ class TestFilters:
         run(capsys, "filters", "--config", config_path(n_samples=8), "--out", str(out))
         header = out.read_text().splitlines()[0]
         assert header.split(",")[1:3] == ["f-4_re", "f-4_im"]
+
+    def test_values_are_bit_exact(self, capsys, config_path, tmp_path):
+        out = tmp_path / "filters.csv"
+        config = config_path(family="meyer", n_samples=255)
+        assert run(capsys, "filters", "--config", config, "--out", str(out))[0] == 0
+        lines = out.read_text().splitlines()[1:]
+        table = np.array([[float(c) for c in line.split(",")] for line in lines])
+        grid = FrequencyGrid(255)
+        bank = sample_bank(build_partition("Vstar", scaled_bounds()), FamilyParams("meyer"), grid)
+        order = np.argsort(grid.xi)
+        spectra = bank.spectra[:, order]
+        assert np.any(spectra.imag != 0.0)
+        assert table[:, 0].tobytes() == grid.xi[order].tobytes()
+        assert table[:, 1::2].T.tobytes() == spectra.real.tobytes()
+        assert table[:, 2::2].T.tobytes() == spectra.imag.tobytes()
 
 
 class TestForwardInverse:
@@ -352,6 +368,65 @@ class TestErrorPaths:
         assert payload["error"] == "InputFormatError"
         assert "row 2, sample 5" in payload["message"]
         assert not rec.exists()
+
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    def test_overflowing_signal_exits_1(self, capsys, config_path, tmp_path, command):
+        sig = tmp_path / "signal.csv"
+        sig.write_text("re\n" + "1e308\n" * 64)
+        coef = tmp_path / "coef.ewtc"
+        argv = ["--config", config_path(n_samples=64), "--signal", str(sig)]
+        if command == "forward":
+            argv += ["--out", str(coef)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert error_payload(out, err)["error"] == "FloatingPointError"
+        assert not coef.exists()
+
+    def test_allocation_failure_exits_1(self, capsys, config_path, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("cannot allocate the bank")
+
+        monkeypatch.setattr(cews.io, "realize_bank", exhausted)
+        code, out, err = run(capsys, "frame", "--config", config_path(n_samples=64))
+        assert code == 1
+        assert error_payload(out, err)["error"] == "MemoryError"
+
+    def test_n_samples_beyond_coefficient_format_exits_2(self, capsys, config_path):
+        # rejected while parsing, before any grid is allocated
+        code, out, err = run(
+            capsys, "frame", "--config", config_path(), "--n-samples", "10000000000000"
+        )
+        assert code == 2
+        assert "n_samples" in error_payload(out, err)["message"]
+
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon", math.nan), ("epsilon", math.inf), ("gamma", math.nan)]
+    )
+    def test_non_finite_config_number_exits_2(self, capsys, config_path, field, value):
+        code, out, err = run(
+            capsys, "frame", "--config", config_path(n_samples=64, **{field: value})
+        )
+        assert code == 2
+        assert error_payload(out, err)["message"].startswith(f"{field}:")
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_sample_rate_exits_2(self, capsys, config_path, rate):
+        code, out, err = run(
+            capsys, "frame", "--config", config_path(n_samples=64), "--hz", rate
+        )
+        assert code == 2
+        assert error_payload(out, err)["error"] == "InputFormatError"
+
+    @pytest.mark.parametrize("damaged", ["config", "signal"])
+    def test_non_utf8_input_exits_2(self, capsys, config_path, signal_path, tmp_path, damaged):
+        config = config_path(n_samples=64)
+        sig, _ = signal_path(n=64)
+        bad = Path(config if damaged == "config" else sig)
+        text = bad.read_bytes()
+        bad.write_bytes(text[:1] + b"\xff" + text[1:])
+        code, out, err = run(capsys, "roundtrip", "--config", config, "--signal", sig)
+        assert code == 2
+        assert str(bad) in error_payload(out, err)["message"]
 
     def test_wrong_signal_length_exits_1(self, capsys, config_path, signal_path):
         sig, _ = signal_path(n=100)

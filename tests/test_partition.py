@@ -102,10 +102,10 @@ class TestGeometry:
 
     def test_lengths(self, example_partition):
         p = example_partition
-        assert p.support_length(2) == pytest.approx(PI / 2, rel=1e-15)
-        assert p.support_length(-1) == pytest.approx(5 * PI / 6, rel=1e-15)
-        assert p.support_length(-4) == INF
-        assert p.support_length(3) == INF
+        assert p.support(2).length == pytest.approx(PI / 2, rel=1e-15)
+        assert p.support(-1).length == pytest.approx(5 * PI / 6, rel=1e-15)
+        assert p.support(-4).length == INF
+        assert p.support(3).length == INF
 
     def test_ray_next_to_ray_has_no_center(self):
         p = build_partition("V", [-INF, 0.0, INF])
