@@ -198,8 +198,6 @@ def cmd_frame(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.peaks < 1:
-        raise InputFormatError("--peaks must be >= 1")
     signal = _read_signal(args, n_expected=None)
     proposal = formats.propose_boundaries(signal, args.peaks)
     payload = {

@@ -19,7 +19,6 @@ from .errors import (
     DegenerateCenter,
     GammaOutOfRange,
     MeyerRequiresRays,
-    RayWithoutNeighbor,
 )
 from .partition import Partition
 from .spectral import FrequencyGrid
@@ -144,7 +143,7 @@ def _zero_half_width(partition: Partition, gamma: float) -> float:
     """Transition half-width at the zero boundary of a V-mode partition.
 
     gamma * |0| would vanish, so the smaller of the two adjacent boundary
-    widths is used instead.
+    widths is used instead; the gamma check has ruled out there being none.
     """
     z = partition.boundaries.index(0.0)
     scales = [
@@ -152,8 +151,6 @@ def _zero_half_width(partition: Partition, gamma: float) -> float:
         for i in (z - 1, z + 1)
         if 0 <= i < len(partition.boundaries) and math.isfinite(partition.boundaries[i])
     ]
-    if not scales:
-        raise RayWithoutNeighbor("zero boundary has no finite neighbor")
     return gamma * min(scales)
 
 
@@ -178,8 +175,6 @@ def eval_lp(partition: Partition, gamma, n: int, xi):
     gamma = _check_gamma(partition, gamma)
     s = partition.support(n)
     x, scalar = _as_xi(xi)
-    if s.is_left_ray and s.is_right_ray:
-        raise RayWithoutNeighbor("cannot build a filter on a two-sided ray")
 
     def ramp(value):
         t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
@@ -250,8 +245,6 @@ def eval_shannon(partition: Partition, n: int, xi):
     s = partition.support(n)
     x, scalar = _as_xi(xi)
     out = np.zeros(x.shape, dtype=complex)
-    if s.is_left_ray and s.is_right_ray:
-        raise RayWithoutNeighbor("cannot build a filter on a two-sided ray")
     if s.is_left_ray:
         out[x < s.hi] = -1.0
     elif s.is_right_ray:
@@ -293,8 +286,6 @@ def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
         raise ValueError(f"ray_option must be one of {GABOR_RAY_OPTIONS}")
     s = partition.support(n)
     x, scalar = _as_xi(xi)
-    if s.is_left_ray and s.is_right_ray:
-        raise RayWithoutNeighbor("cannot build a filter on a two-sided ray")
     center = partition.support_center(n)
     width = partition.compact_neighbor(n).length if s.is_ray else s.length
     out = gabor_mother((x - center) / width) / math.sqrt(width)
@@ -327,11 +318,7 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
     for v in partition.boundaries:
         if math.isfinite(v) and not (-math.pi < v < math.pi):
             raise BoundaryOutsideGrid(f"finite boundary {v} is outside (-pi, pi)")
-    rows = [
-        np.asarray(_evaluate(partition, params, n, grid.xi), dtype=complex)
-        for n in partition.support_indices
-    ]
-    spectra = np.stack(rows)
+    spectra = np.stack([_evaluate(partition, params, n, grid.xi) for n in partition.support_indices])
     spectra.setflags(write=False)
     return FilterBank(
         partition=partition,

@@ -17,6 +17,15 @@ from .partition import Partition
 
 # squared modulus of the Gabor mother at half width, exp(-25 pi / 8)
 GABOR_EDGE_ENERGY = float(np.exp(-25.0 * np.pi / 8.0))
+DEFAULT_EPSILON = 1e-12  # bins where S < epsilon are singular
+
+
+def check_epsilon(epsilon) -> float:
+    """epsilon as a float; finite and > 0, since a NaN guard marks no bin singular."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    return epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +106,9 @@ def analytic_bounds(params: FamilyParams, partition: Partition) -> tuple:
     return GABOR_EDGE_ENERGY / widest, None
 
 
-def frame_report(bank, epsilon: float = 1e-12) -> FrameReport:
+def frame_report(bank, epsilon: float = DEFAULT_EPSILON) -> FrameReport:
     """Assemble the full diagnostic report for a sampled bank."""
+    epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
     a_ana, b_ana = analytic_bounds(bank.params, bank.partition)
     return FrameReport(
@@ -108,5 +118,5 @@ def frame_report(bank, epsilon: float = 1e-12) -> FrameReport:
         a_analytic=a_ana,
         b_analytic=b_ana,
         per_filter_norm=filter_norms(bank),
-        singular_bins=tuple(int(b) for b in np.nonzero(s < float(epsilon))[0]),
+        singular_bins=tuple(int(b) for b in np.nonzero(s < epsilon)[0]),
     )

@@ -24,14 +24,13 @@ from .families import (
     FilterBank,
     sample_bank,
 )
+from .frame_analysis import DEFAULT_EPSILON
 from .partition import MODES, VSTAR_MODE, build_partition
 from .spectral import FrequencyGrid
 
 COEF_MAGIC = b"EWTC"
 COEF_VERSION = 1
 MAX_N_SAMPLES = 2**32 - 1  # the EWTC header stores N as u32
-
-DEFAULT_EPSILON = 1e-12
 DEFAULT_GAMMA_FRACTION = 0.9  # CLI default gamma = fraction * max_gamma
 
 
@@ -77,27 +76,26 @@ def encode_boundary(value: float):
     return float(value)
 
 
-def _require(obj, key, kind, where=None):
-    where = where or key
+def _require(obj, key, kind):
     if key not in obj:
-        raise InputFormatError(f"{where}: required field is missing")
+        raise InputFormatError(f"{key}: required field is missing")
     value = obj[key]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputFormatError(f"{where}: expected a number, got {value!r}")
+            raise InputFormatError(f"{key}: expected a number, got {value!r}")
         if not math.isfinite(value):
-            raise InputFormatError(f"{where}: expected a finite number, got {value!r}")
+            raise InputFormatError(f"{key}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise InputFormatError(f"{where}: expected an integer, got {value!r}")
+            raise InputFormatError(f"{key}: expected an integer, got {value!r}")
         return value
     if kind is bool:
         if not isinstance(value, bool):
-            raise InputFormatError(f"{where}: expected true/false, got {value!r}")
+            raise InputFormatError(f"{key}: expected true/false, got {value!r}")
         return value
     if not isinstance(value, kind):
-        raise InputFormatError(f"{where}: expected {kind.__name__}, got {value!r}")
+        raise InputFormatError(f"{key}: expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -277,9 +275,7 @@ def read_signal_raw(path, n_expected: int = None) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise InputFormatError(f"{path}: float64 value {bad[0]} is not finite")
-    if n_expected is None:
-        return flat.astype(complex)
-    if flat.size == n_expected:
+    if n_expected is None or flat.size == n_expected:
         return flat.astype(complex)
     if flat.size == 2 * n_expected:
         return flat[0::2] + 1j * flat[1::2]

@@ -58,7 +58,10 @@ class Support:
 
 @dataclass(frozen=True)
 class Partition:
-    """Validated boundary set. Build instances with :func:`build_partition`."""
+    """Validated boundary set; :func:`build_partition` is its only supported
+    constructor. It guarantees a finite boundary, so no support spans the whole
+    line; every compact support but Vstar's -1 lies on one side of zero; and in
+    V mode a compact support gives the zero boundary a finite neighbour."""
 
     mode: str
     boundaries: tuple
@@ -91,10 +94,7 @@ class Partition:
         return math.isinf(self.boundaries[-1])
 
     def support(self, n: int) -> Support:
-        try:
-            return self._supports[self._pos[n]]
-        except KeyError:
-            raise KeyError(f"no support with index {n}") from None
+        return self._supports[self.ordinal(n)]
 
     def ordinal(self, n: int) -> int:
         """Position of support n in left-to-right enumeration order."""
@@ -112,10 +112,6 @@ class Partition:
         requires that neighbor to exist.
         """
         s = self.support(n)
-        if s.is_left_ray and s.is_right_ray:
-            raise RayWithoutNeighbor(
-                "support covers the whole line; no adjacent width to borrow"
-            )
         if s.is_left_ray:
             return s.hi - self.compact_neighbor(n).length / 2.0
         if s.is_right_ray:
@@ -125,7 +121,7 @@ class Partition:
     def compact_neighbor(self, n: int) -> Support:
         """The compact support adjacent to ray n (its width donor)."""
         s = self.support(n)
-        if not s.is_ray or (s.is_left_ray and s.is_right_ray):
+        if not s.is_ray:
             raise RayWithoutNeighbor(f"support {n} is not a one-sided ray")
         pos = self._pos[n] + (1 if s.is_left_ray else -1)
         if 0 <= pos < len(self._supports):
@@ -152,7 +148,7 @@ class Partition:
                 continue
             center = abs(self.support_center(s.index))
             if center == 0.0:
-                # unreachable for validated partitions; kept as a guard
+                # the midpoint of [0, 5e-324] underflows to zero
                 raise DegenerateCenter(f"compact support {s.index} is centered at zero")
             ratios.append(s.length / (2.0 * center))
         if self.mode == V_MODE and not ratios:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
 from .families import FilterBank
-from .frame_analysis import sum_squares
+from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,16 +45,14 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
     return EwtCoefficients(rows=rows, support_indices=bank.support_indices)
 
 
-def dual_bank(bank: FilterBank, epsilon: float = 1e-12, allow_singular: bool = False) -> FilterBank:
+def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular: bool = False) -> FilterBank:
     """Pointwise dual filters phi_n = psi_n / S with S = sum_m |psi_m|^2.
 
     Bins with S < epsilon make the division meaningless: by default they
     raise SingularFrame (carrying the bin list); with allow_singular=True the
     dual is zeroed there and the bins are listed in ``singular_bins``.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
+    epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
     bad = s < epsilon
     bins = np.nonzero(bad)[0]
@@ -98,6 +96,6 @@ def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float 
     tightness is the caller's job (see frame_analysis).
     """
     a = float(frame_bound)
-    if a <= 0.0:
-        raise NonPositiveA(f"frame bound must be > 0, got {a}")
+    if not 0.0 < a < np.inf:
+        raise NonPositiveA(f"frame bound must be finite and > 0, got {a}")
     return np.fft.ifft(_accumulate(coeffs, bank) / a)

@@ -199,11 +199,12 @@ class TestRoundtrip:
         )
         assert code == 0
         assert json.loads(out)["rel_l2_error"] <= 1e-10
-        code, _, err = run(
-            capsys, "roundtrip", "--config", config, "--signal", sig, "--tight", "-1.0"
-        )
-        assert code == 1
-        assert json.loads(err)["error"] == "NonPositiveA"
+        for bad in ("-1.0", "inf", "nan"):
+            code, _, err = run(
+                capsys, "roundtrip", "--config", config, "--signal", sig, "--tight", bad
+            )
+            assert code == 1
+            assert json.loads(err)["error"] == "NonPositiveA"
 
     def test_singular_frame_policy(self, capsys, config_path, signal_path, tmp_path):
         config = config_path(

@@ -1,11 +1,13 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cews import build_partition
 from cews.errors import (
     DegenerateCenter,
+    EwtError,
     MultipleInfinities,
     NotSorted,
     RayWithoutNeighbor,
@@ -141,6 +143,13 @@ class TestMaxGamma:
         with pytest.raises(DegenerateCenter):
             p.max_gamma()
 
+    def test_underflowing_center(self):
+        # a valid partition whose compact support has midpoint 0.5 * 5e-324 == 0
+        p = build_partition("V", [0.0, 5e-324])
+        assert p.support_center(0) == 0.0
+        with pytest.raises(DegenerateCenter):
+            p.max_gamma()
+
 
 class TestInvariants:
     @pytest.mark.parametrize(
@@ -191,3 +200,40 @@ class TestInvariants:
         assert rebuilt(p) == p
 
         assert 0.0 < p.max_gamma() <= 0.5
+
+    boundary = st.one_of(
+        st.sampled_from([-INF, 0.0, INF]),
+        st.floats(min_value=-4.0, max_value=4.0, exclude_min=True, exclude_max=True),
+    )
+
+    @given(values=st.lists(boundary, min_size=2, max_size=8, unique=True).map(sorted),
+           mode=st.sampled_from(["V", "Vstar"]))
+    @example(values=[-INF, INF], mode="Vstar")
+    @example(values=[-INF, INF], mode="V")
+    @example(values=[-INF, 0.0, INF], mode="V")
+    def test_guarantees_the_evaluators_rely_on(self, values, mode):
+        """The Partition docstring's guarantees, which the filter evaluators,
+        support_center, compact_neighbor and the V-mode zero half-width take
+        for granted instead of checking."""
+        try:
+            p = build_partition(mode, values)
+        except (EwtError, ValueError):
+            return
+        assert not any(s.is_left_ray and s.is_right_ray for s in p.supports)
+        compact = [s for s in p.supports if not s.is_ray]
+        for s in compact:
+            if mode == "Vstar" and s.index == -1:
+                continue
+            assert s.lo >= 0.0 or s.hi <= 0.0
+            if p.support_center(s.index) == 0.0:
+                # only a midpoint that underflows; max_gamma() rejects it
+                with pytest.raises(DegenerateCenter):
+                    p.max_gamma()
+        if mode == "V":
+            z = p.boundaries.index(0.0)
+            near = p.boundaries[max(z - 1, 0) : z + 2]
+            if compact:
+                assert any(v != 0.0 and math.isfinite(v) for v in near)
+            else:
+                with pytest.raises(DegenerateCenter):
+                    p.max_gamma()

@@ -8,6 +8,7 @@ from cews import (
     build_partition,
     dual_bank,
     forward,
+    frame_report,
     inverse,
     inverse_tight,
     sample_bank,
@@ -133,9 +134,12 @@ class TestDualBank:
         assert np.all(dual.spectra[:, bins] == 0.0)
 
     def test_epsilon_must_be_positive(self, grid_partition):
+        # a NaN guard would mark no bin singular, an infinite one every bin
         bank = make_bank(grid_partition, "shannon", 64)
-        with pytest.raises(ValueError):
-            dual_bank(bank, epsilon=0.0)
+        for guarded in (dual_bank, frame_report):
+            for bad in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    guarded(bank, epsilon=bad)
 
     def test_dual_of_dual_returns_tight_bank(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 512)
@@ -220,7 +224,7 @@ class TestInverseTight:
     def test_non_positive_bound_rejected(self, grid_partition):
         bank = make_bank(grid_partition, "shannon", 64)
         coeffs = forward(np.zeros(64), bank)
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(NonPositiveA):
                 inverse_tight(coeffs, bank, bad)
 
