@@ -130,7 +130,7 @@ def _reconstruct(args, config, bank, coeffs):
 def cmd_filters(args) -> int:
     config = _load_config(args)
     bank = formats.realize_bank(config)
-    order = np.argsort(bank.grid.xi)
+    order = bank.grid.order
     header, columns = ["xi"], [bank.grid.xi[order]]
     for n, row in zip(bank.support_indices, bank.spectra[:, order]):
         header += [f"f{n}_re", f"f{n}_im"]

@@ -69,6 +69,13 @@ class FilterBank:
     k. ``singular_bins`` is empty for sampled families; on a dual bank it
     lists the bins where the squared filter sum fell below the guard and
     every filter was zero-filled.
+
+    ``bands[i] = (lo, hi)`` is the band of filter i: the bins at ascending-xi
+    positions lo, ..., hi - 1 (see ``FrequencyGrid.run_slices``), one cyclic
+    run in natural bin order. Outside its band, row i holds one constant
+    signed zero, except at ``singular_bins``, where every row holds 0.0.
+    ``spectra`` stays dense; the bands only tell the bank's consumers which
+    cells they may skip. A bank built without bands gets whole-row bands.
     """
 
     partition: Partition
@@ -77,6 +84,21 @@ class FilterBank:
     spectra: np.ndarray
     support_indices: tuple
     singular_bins: tuple = ()
+    bands: tuple = None
+
+    def __post_init__(self):
+        if self.bands is None:
+            whole = (0, self.grid.n_samples)
+            object.__setattr__(self, "bands", (whole,) * len(self.spectra))
+
+
+def fill_row(row, value) -> None:
+    """Set a row of a fresh ``np.zeros`` array to ``value`` (an array that
+    broadcasts to it), leaving the row untouched when every bit of ``value``
+    is 0, as in +0.0: the row holds that already, and its pages stay unwritten.
+    """
+    if value.view(np.uint8).any():
+        row[:] = value
 
 
 def beta(x):
@@ -172,17 +194,20 @@ def eval_lp(partition: Partition, gamma, n: int, xi):
     boundary uses the substitute half-width from its nearest finite neighbor.
     Ray supports keep the single transition at their finite edge.
     """
-    gamma = _check_gamma(partition, gamma)
-    s = partition.support(n)
+    rise, fall = _lp_ramps(partition, _check_gamma(partition, gamma), n)
     x, scalar = _as_xi(xi)
+    return _finish(_bump(x, rise, fall), scalar)
+
+
+def _lp_ramps(partition: Partition, gamma: float, n: int) -> tuple:
+    """The (rise, fall) ramps of :func:`_bump` for Littlewood-Paley filter n."""
+    s = partition.support(n)
 
     def ramp(value):
         t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
         return (value - t, value + t, 2.0 * t)
 
-    rise = None if s.is_left_ray else ramp(s.lo)
-    fall = None if s.is_right_ray else ramp(s.hi)
-    return _finish(_bump(x, rise, fall), scalar)
+    return (None if s.is_left_ray else ramp(s.lo)), (None if s.is_right_ray else ramp(s.hi))
 
 
 # -- Meyer ----------------------------------------------------------------------
@@ -212,22 +237,24 @@ def eval_meyer(partition: Partition, n: int, xi):
     unimodular phase. The two ray filters hold 1 beyond their outermost
     center and roll off across the single adjacent span.
     """
+    rise, fall, pref = _meyer_ramps(partition, n)
+    x, scalar = _as_xi(xi)
+    return _finish(pref * _bump(x, rise, fall), scalar)
+
+
+def _meyer_ramps(partition: Partition, n: int) -> tuple:
+    """The (rise, fall) ramps of :func:`_bump` and the prefactor of Meyer filter n."""
     centers = _meyer_centers(partition)
     pos = partition.ordinal(n)
-    x, scalar = _as_xi(xi)
     if pos == 0:
         c0, c1 = centers[0], centers[1]
-        rise, fall = None, (c0, c1, c1 - c0)
-        pref = _meyer_prefactor(c1 - c0, abs(c1))
-    elif pos == len(centers) - 1:
+        return None, (c0, c1, c1 - c0), _meyer_prefactor(c1 - c0, abs(c1))
+    if pos == len(centers) - 1:
         c0, c1 = centers[-2], centers[-1]
-        rise, fall = (c0, c1, c1 - c0), None
-        pref = _meyer_prefactor(c1 - c0, abs(c0))
-    else:
-        below, mid, above = centers[pos - 1], centers[pos], centers[pos + 1]
-        rise, fall = (below, mid, mid - below), (mid, above, above - mid)
-        pref = _meyer_prefactor(above - below, max(abs(below), abs(above)))
-    return _finish(pref * _bump(x, rise, fall), scalar)
+        return (c0, c1, c1 - c0), None, _meyer_prefactor(c1 - c0, abs(c0))
+    below, mid, above = centers[pos - 1], centers[pos], centers[pos + 1]
+    rise, fall = (below, mid, mid - below), (mid, above, above - mid)
+    return rise, fall, _meyer_prefactor(above - below, max(abs(below), abs(above)))
 
 
 # -- Shannon ---------------------------------------------------------------------
@@ -308,17 +335,57 @@ def _evaluate(partition, params, n, xi):
     return eval_gabor(partition, params.gabor_rays, n, xi)
 
 
+def _band(partition, params, n, sorted_xi) -> tuple:
+    """Sorted-position run (lo, hi) outside which filter n is zero.
+
+    It is the family's support interval on the grid: closed for the
+    roll-off families, since their fall ends at cos(pi/2) ~ 6e-17 rather
+    than 0, and half-open like the support itself for Shannon. Rays run to
+    the grid edge; Gabor's Gaussian takes the whole row.
+    """
+    if params.family == GABOR:
+        return 0, sorted_xi.size
+    if params.family == SHANNON:
+        s = partition.support(n)
+        first, last, side = s.lo, s.hi, "left"
+    else:
+        if params.family == LITTLEWOOD_PALEY:
+            rise, fall = _lp_ramps(partition, _check_gamma(partition, params.gamma), n)
+        else:
+            rise, fall, _ = _meyer_ramps(partition, n)
+        first = -math.inf if rise is None else rise[0]
+        last = math.inf if fall is None else fall[1]
+        side = "right"
+    lo = int(np.searchsorted(sorted_xi, first, side="left"))
+    return lo, int(np.searchsorted(sorted_xi, last, side=side))
+
+
 def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> FilterBank:
     """Evaluate every filter of the family at every grid bin.
 
     Finite boundaries must sit strictly inside (-pi, pi); ray supports run to
     the grid edges. The result is deterministic: each cell is the pointwise
-    evaluator at that bin.
+    evaluator at that bin. The evaluator runs only on each filter's band;
+    every other cell of a row takes the evaluator's value at one bin outside
+    the band, a signed zero (Meyer's is its prefactor times 0, which may be
+    -0.0 in either part).
     """
     for v in partition.boundaries:
         if math.isfinite(v) and not (-math.pi < v < math.pi):
             raise BoundaryOutsideGrid(f"finite boundary {v} is outside (-pi, pi)")
-    spectra = np.stack([_evaluate(partition, params, n, grid.xi) for n in partition.support_indices])
+    n_bins = grid.n_samples
+    sorted_xi = grid.xi[grid.order]
+    spectra = np.zeros((len(partition.supports), n_bins), dtype=complex)
+    bands = []
+    for row, n in zip(spectra, partition.support_indices):
+        lo, hi = _band(partition, params, n, sorted_xi)
+        outside = grid.run_slices(hi, lo + n_bins)
+        if outside:
+            k = outside[0].start
+            fill_row(row, _evaluate(partition, params, n, grid.xi[k : k + 1]))
+        for sl in grid.run_slices(lo, hi):
+            row[sl] = _evaluate(partition, params, n, grid.xi[sl])
+        bands.append((lo, hi))
     spectra.setflags(write=False)
     return FilterBank(
         partition=partition,
@@ -326,4 +393,5 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
         grid=grid,
         spectra=spectra,
         support_indices=partition.support_indices,
+        bands=tuple(bands),
     )

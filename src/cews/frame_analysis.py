@@ -47,10 +47,14 @@ class FrameReport:
 
 
 def sum_squares(bank) -> np.ndarray:
-    """S(xi_k) = sum over filters of |spectra[n, k]|^2, in fixed index order."""
+    """S(xi_k) = sum over filters of |spectra[n, k]|^2, in fixed index order.
+
+    Each filter adds only over its band; outside it it would add an exact 0.
+    """
     acc = np.zeros(bank.spectra.shape[1])
-    for row in bank.spectra:
-        acc += np.abs(row) ** 2
+    for row, band in zip(bank.spectra, bank.bands):
+        for sl in bank.grid.run_slices(*band):
+            acc[sl] += np.abs(row[sl]) ** 2
     return acc
 
 
@@ -61,12 +65,23 @@ def empirical_bounds(bank) -> tuple:
 
 
 def filter_norms(bank) -> tuple:
-    """Trapezoidal grid quadrature of |psi_n|^2, one value per filter."""
-    order = np.argsort(bank.grid.xi)
+    """Trapezoidal grid quadrature of |psi_n|^2, one value per filter.
+
+    The integrand runs over the whole grid in ascending xi, zero outside the
+    filter's band, so the pairwise sum is the same as for the dense row.
+    """
     h = bank.grid.spacing
-    return tuple(
-        float(np.trapezoid(np.abs(row[order]) ** 2, dx=h)) for row in bank.spectra
-    )
+    line = np.zeros(bank.grid.n_samples)
+    norms = []
+    for row, (lo, hi) in zip(bank.spectra, bank.bands):
+        pos = lo
+        for sl in bank.grid.run_slices(lo, hi):
+            stop = pos + sl.stop - sl.start
+            line[pos:stop] = np.abs(row[sl]) ** 2
+            pos = stop
+        norms.append(float(np.trapezoid(line, dx=h)))
+        line[lo:hi] = 0.0
+    return tuple(norms)
 
 
 def _meyer_bounds(partition: Partition) -> tuple:

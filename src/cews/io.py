@@ -344,9 +344,10 @@ def propose_boundaries(signal, count: int) -> dict:
     if x.ndim != 1 or x.size < 4:
         raise InputFormatError("boundary proposal needs at least 4 samples")
     mag = np.abs(np.fft.fft(x))
-    xi = FrequencyGrid(x.size).xi
+    grid = FrequencyGrid(x.size)
+    xi = grid.xi
     if np.any(x.imag):
-        cuts = _cut_bins(mag, np.argsort(xi), count, anchor_first=False)
+        cuts = _cut_bins(mag, grid.order, count, anchor_first=False)
         bounds = [-math.inf] + [float(xi[b]) for b in cuts] + [math.inf]
     else:
         half = (x.size - 1) // 2  # last strictly positive bin below Nyquist

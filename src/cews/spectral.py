@@ -33,8 +33,8 @@ class FrequencyGrid:
         n = int(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
-        k = np.arange(n)
-        signed = np.where(2 * k > n, k - n, k).astype(float)
+        signed = np.arange(n, dtype=float)
+        signed[n // 2 + 1 :] -= n  # bins above N/2 carry k - N, exactly
         xi = signed * (TWO_PI / n)
         if n % 2 == 0:
             xi[n // 2] = np.pi
@@ -46,6 +46,32 @@ class FrequencyGrid:
     def spacing(self) -> float:
         """Bin spacing 2*pi/N."""
         return TWO_PI / self.n_samples
+
+    @property
+    def order(self) -> np.ndarray:
+        """Permutation to ascending xi: ``xi[order]`` is sorted.
+
+        It is a rotation: sorted position j holds bin (j + N//2 + 1) mod N.
+        """
+        runs = self.run_slices(0, self.n_samples)
+        return np.concatenate([np.arange(sl.start, sl.stop) for sl in runs])
+
+    def run_slices(self, lo: int, hi: int) -> list:
+        """Natural-order slices holding sorted positions lo, ..., hi - 1.
+
+        The positions are taken mod N, so 0 <= lo <= hi <= lo + N may name any
+        cyclic run of bins. The slices list the bins in ascending position
+        order; there are at most two, as the run wraps at most once from bin
+        N - 1 to bin 0.
+        """
+        n = self.n_samples
+        if lo == hi:
+            return []
+        start = (lo + n // 2 + 1) % n
+        stop = start + (hi - lo)
+        if stop <= n:
+            return [slice(start, stop)]
+        return [slice(start, n), slice(0, stop - n)]
 
 
 def _as_signal(values) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank
+from .families import FilterBank, fill_row
 from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
 
 
@@ -40,7 +40,11 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
         raise LengthMismatch(
             f"signal length {x.shape} does not match grid size {bank.grid.n_samples}"
         )
-    rows = np.fft.ifft(np.fft.fft(x)[None, :] * np.conj(bank.spectra), axis=1)
+    # one K x N buffer; the spectrum stays the left operand, since complex
+    # multiplication in numpy is not bit-commutative
+    rows = np.conj(bank.spectra)
+    np.multiply(np.fft.fft(x)[None, :], rows, out=rows)
+    np.fft.ifft(rows, axis=1, out=rows)
     rows.setflags(write=False)
     return EwtCoefficients(rows=rows, support_indices=bank.support_indices)
 
@@ -51,6 +55,11 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     Bins with S < epsilon make the division meaningless: by default they
     raise SingularFrame (carrying the bin list); with allow_singular=True the
     dual is zeroed there and the bins are listed in ``singular_bins``.
+
+    The dual keeps the bank's bands. Each filter is divided on its band; the
+    rest of its row is its out-of-band zero divided by S bin by bin (numpy's
+    complex 0 / S is NaN where S is subnormal), which is the same for every
+    row with the same zero, so it is computed once per zero.
     """
     epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
@@ -60,10 +69,35 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         raise SingularFrame(
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
-    spectra = bank.spectra / np.where(bad, 1.0, s)
+    denom = np.where(bad, 1.0, s)
+    grid = bank.grid
+    spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
+    quotients = {}
+    for row, out, (lo, hi) in zip(bank.spectra, spectra, bank.bands):
+        k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), bad)
+        if k is not None:
+            key = row[k].tobytes()
+            if key not in quotients:
+                quotients[key] = row[k] / denom
+            fill_row(out, quotients[key])
+        for sl in grid.run_slices(lo, hi):
+            np.divide(row[sl], denom[sl], out=out[sl])
     spectra[:, bad] = 0.0
     spectra.setflags(write=False)
     return replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
+
+
+def _regular_bin(slices, bad):
+    """First bin in ``slices`` that is not singular, or None.
+
+    Outside its band a row holds its one zero at every such bin; the others
+    are zero-filled in the dual whatever they hold.
+    """
+    for sl in slices:
+        j = sl.start + int(np.argmin(bad[sl]))
+        if not bad[j]:
+            return j
+    return None
 
 
 def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cews import (
     FamilyParams,
+    FilterBank,
     FrequencyGrid,
     beta,
     build_partition,
@@ -298,6 +299,17 @@ class TestSampleBank:
         second = sample_bank(grid_partition, params, grid)
         assert np.array_equal(first.spectra, second.spectra)
 
+    def test_hand_made_bank_gets_whole_row_bands(self, grid_partition):
+        bank = FilterBank(
+            partition=grid_partition,
+            params=FamilyParams("shannon"),
+            grid=FrequencyGrid(32),
+            spectra=np.ones((7, 32), dtype=complex),
+            support_indices=grid_partition.support_indices,
+        )
+        assert bank.bands == ((0, 32),) * 7
+        assert np.array_equal(sum_squares(bank), np.full(32, 7.0))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             FamilyParams("littlewood-paley")  # gamma missing
@@ -311,3 +323,83 @@ class TestSampleBank:
             FamilyParams("gabor", gabor_rays="sideways")
         with pytest.raises(ValueError):
             FamilyParams("haar")
+
+
+def evaluate(partition, params, n, xi):
+    if params.family == "littlewood-paley":
+        return eval_lp(partition, params.gamma, n, xi)
+    if params.family == "meyer":
+        return eval_meyer(partition, n, xi)
+    if params.family == "shannon":
+        return eval_shannon(partition, n, xi)
+    return eval_gabor(partition, params.gabor_rays, n, xi)
+
+
+def band_bins(bank, i):
+    lo, hi = bank.bands[i]
+    return [k for sl in bank.grid.run_slices(lo, hi) for k in range(sl.start, sl.stop)]
+
+
+class TestBands:
+    """Each sampled filter is its evaluator on its band and a zero elsewhere."""
+
+    def test_lp_band_ends_on_the_last_nonzero_bin(self):
+        grid = FrequencyGrid(64)
+        partition = build_partition("Vstar", (-INF, -1.0, 0.5, 1.5, INF))
+        # gamma that puts the fall's end 1.5 + gamma * 1.5 exactly on bin 16
+        end = grid.xi[16]
+        gamma = (end - 1.5) / 1.5
+        while 1.5 + gamma * 1.5 != end:
+            gamma = np.nextafter(gamma, INF if 1.5 + gamma * 1.5 < end else -INF)
+        bank = sample_bank(partition, FamilyParams("littlewood-paley", gamma=gamma), grid)
+        pos = partition.ordinal(1)
+        bins = band_bins(bank, pos)
+        assert bins[-1] == 16
+        # the fall ends at cos(pi/2), not at 0, so a half-open band would lose it
+        assert 0.0 < abs(bank.spectra[pos, 16]) < 1e-15
+        assert bank.spectra[pos, 17] == 0.0 and 17 not in bins
+
+    def shannon_on_bins(self, n=16):
+        grid = FrequencyGrid(n)
+        xi = grid.xi
+        partition = build_partition("Vstar", (-INF, xi[n - 3], xi[3], xi[5], INF))
+        return partition, sample_bank(partition, FamilyParams("shannon"), grid)
+
+    def test_shannon_boundary_on_a_bin_is_half_open(self):
+        partition, bank = self.shannon_on_bins()
+        pos = partition.ordinal(1)  # [xi[3], xi[5])
+        assert band_bins(bank, pos) == [3, 4]
+        assert bank.spectra[pos, 3] != 0.0 and bank.spectra[pos, 5] == 0.0
+
+    def test_band_straddling_zero_wraps(self):
+        partition, bank = self.shannon_on_bins()
+        pos = partition.ordinal(-1)  # [xi[13], xi[3]) holds xi = 0
+        lo, hi = bank.bands[pos]
+        assert bank.grid.run_slices(lo, hi) == [slice(13, 16), slice(0, 3)]
+        assert np.all(bank.spectra[pos, [13, 14, 15, 0, 1, 2]] != 0.0)
+
+    def test_right_ray_ends_on_the_nyquist_bin(self):
+        partition, bank = self.shannon_on_bins()
+        pos = len(partition.supports) - 1
+        assert band_bins(bank, pos) == [5, 6, 7, 8]
+        assert bank.grid.xi[8] == PI and bank.spectra[pos, 8] == -1j
+        assert band_bins(bank, 0) == [9, 10, 11, 12]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FamilyParams("littlewood-paley", gamma=0.1),
+            FamilyParams("meyer"),
+            FamilyParams("shannon"),
+            FamilyParams("gabor", gabor_rays="local"),
+            FamilyParams("gabor", gabor_rays="extended"),
+        ],
+    )
+    def test_tiny_grids(self, n, params):
+        partition = build_partition("Vstar", (-INF, -1.0, 0.5, 2.0, INF))
+        grid = FrequencyGrid(n)
+        bank = sample_bank(partition, params, grid)
+        for row, index, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
+            assert 0 <= lo <= hi <= n
+            assert row.tobytes() == evaluate(partition, params, index, grid.xi).tobytes()

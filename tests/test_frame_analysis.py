@@ -52,6 +52,7 @@ class TestSumSquares:
             assert np.abs(s[mask] - expected).max() < 1e-12
 
     def test_zero_bank(self):
+        assert zero_bank().bands == ((0, 64),) * 3
         assert np.all(sum_squares(zero_bank()) == 0.0)
 
     def test_reordering_is_immaterial(self, grid_partition):

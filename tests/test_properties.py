@@ -7,6 +7,8 @@ the zero boundary in V mode) and grids of odd and even size.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from dataclasses import replace
+
 from cews import (
     FamilyParams,
     FrequencyGrid,
@@ -14,11 +16,15 @@ from cews import (
     build_partition,
     dual_bank,
     empirical_bounds,
+    eval_lp,
     forward,
+    frame_report,
     inverse,
     inverse_tight,
     sample_bank,
+    sum_squares,
 )
+from cews.families import eval_gabor, eval_meyer, eval_shannon
 
 from conftest import INF
 
@@ -143,3 +149,68 @@ def test_pipeline_is_deterministic(case, family, seed):
 
     for first, second in zip(run(), run()):
         assert first.tobytes() == second.tobytes()
+
+
+@st.composite
+def partitions_on_grid(draw):
+    """(partition, grid) like banks_on_grid, each ray present or not."""
+    mode = draw(st.sampled_from(["V", "Vstar"]))
+    finite = sorted(-v for v in draw(side)) + ([0.0] if mode == "V" else []) + sorted(draw(side))
+    assume(min(b - a for a, b in zip(finite, finite[1:])) >= 0.02)
+    left, right = draw(st.booleans()), draw(st.booleans())
+    partition = build_partition(mode, [-INF] * left + finite + [INF] * right)
+    return partition, FrequencyGrid(draw(st.integers(1, 400)))
+
+
+def evaluate(partition, params, n, xi):
+    if params.family == "littlewood-paley":
+        return eval_lp(partition, params.gamma, n, xi)
+    if params.family == "meyer":
+        return eval_meyer(partition, n, xi)
+    if params.family == "shannon":
+        return eval_shannon(partition, n, xi)
+    return eval_gabor(partition, params.gabor_rays, n, xi)
+
+
+def report_bytes(report):
+    fields = (
+        report.a_empirical,
+        report.b_empirical,
+        report.a_analytic,
+        report.b_analytic,
+        report.per_filter_norm,
+        report.singular_bins,
+    )
+    return report.sum_squares.tobytes(), repr(fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions_on_grid(), ALL_FAMILIES)
+def test_band_path_is_bit_identical(case, family):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    bank = sample_bank(partition, params, grid)
+    whole = replace(bank, bands=None)
+    assert whole.bands == ((0, grid.n_samples),) * len(bank.bands)
+    for row, n, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
+        assert 0 <= lo <= hi <= grid.n_samples
+        assert row.tobytes() == evaluate(partition, params, n, grid.xi).tobytes()
+        outside = np.ones(grid.n_samples, dtype=bool)
+        outside[grid.order[lo:hi]] = False
+        if outside.any():
+            zero = row[outside][0]
+            assert zero == 0.0
+            assert row[outside].tobytes() == zero.tobytes() * int(outside.sum())
+    # the default guard, and one that makes about half the bins singular
+    for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
+        if epsilon <= 0.0:
+            continue
+        dual, dense_dual = (dual_bank(b, epsilon, allow_singular=True) for b in (bank, whole))
+        assert dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+        assert dual.singular_bins == dense_dual.singular_bins
+        twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
+        assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+    assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))

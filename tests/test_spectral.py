@@ -36,6 +36,20 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 4097])
+    def test_order_is_the_ascending_permutation(self, n):
+        grid = FrequencyGrid(n)
+        assert np.array_equal(grid.order, np.argsort(grid.xi))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_run_slices_cover_the_run_in_order(self, n):
+        grid = FrequencyGrid(n)
+        for lo in range(n + 1):
+            for hi in range(lo, lo + n + 1):
+                bins = [k for sl in grid.run_slices(lo, hi) for k in range(sl.start, sl.stop)]
+                assert bins == [int(grid.order[j % n]) for j in range(lo, hi)]
+                assert len(grid.run_slices(lo, hi)) <= 2
+
     def test_value_semantics(self):
         grid = FrequencyGrid(np.int64(8))
         assert type(grid.n_samples) is int

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,17 @@ NARROW = ("Vstar", (-INF, -0.05, 0.05, INF))
 
 
 class TestForward:
+    @pytest.mark.parametrize("family", ["meyer", "gabor"])
+    def test_rows_are_the_dense_formula_bit_for_bit(self, grid_partition, family):
+        kwargs = {"gabor_rays": "extended"} if family == "gabor" else {}
+        bank = make_bank(grid_partition, family, 512, **kwargs)
+        x = random_signal(512, seed=5)
+        expected = np.fft.ifft(np.fft.fft(x)[None, :] * np.conj(bank.spectra), axis=1)
+        assert forward(x, bank).rows.tobytes() == expected.tobytes()
+
     def test_allpass_returns_signal(self):
         x = random_signal(64, seed=1)
+        assert allpass_bank(64).bands == ((0, 64),)
         coeffs = forward(x, allpass_bank(64))
         assert np.abs(coeffs.rows[0] - x).max() < 1e-13
 
@@ -97,6 +108,27 @@ class TestForward:
 
 
 class TestDualBank:
+    def test_band_dual_matches_dense_where_s_is_subnormal(self):
+        # S = 1e-320 on half the grid; numpy's complex division gives NaN for
+        # 0 / S there, so a row's out-of-band quotient is not one constant
+        partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
+        grid = FrequencyGrid(8)
+        spectra = np.zeros((3, 8), dtype=complex)
+        spectra[0, grid.order[:4]] = 1e-160
+        spectra[1, grid.order[4:]] = 1.0
+        bank = FilterBank(
+            partition=partition,
+            params=FamilyParams("shannon"),
+            grid=grid,
+            spectra=spectra,
+            support_indices=partition.support_indices,
+            bands=((0, 4), (4, 8), (0, 0)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            band, dense = (dual_bank(b, epsilon=5e-324) for b in (bank, replace(bank, bands=None)))
+        assert band.spectra.tobytes() == dense.spectra.tobytes()
+        assert np.isnan(dense.spectra[2]).any()
+
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
         dual = dual_bank(bank)
