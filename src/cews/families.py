@@ -10,7 +10,7 @@ API uniformity.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,7 +75,10 @@ class FilterBank:
     run in natural bin order. Outside its band, row i holds one constant
     signed zero, except at ``singular_bins``, where every row holds 0.0.
     ``spectra`` stays dense; the bands only tell the bank's consumers which
-    cells they may skip. A bank built without bands gets whole-row bands.
+    cells they may skip. They are not a constructor argument: a bank built
+    directly or by ``dataclasses.replace`` has whole-row bands, and only
+    :func:`sample_bank` and ``dual_bank`` narrow them, from the spectra they
+    have just computed.
     """
 
     partition: Partition
@@ -84,12 +87,15 @@ class FilterBank:
     spectra: np.ndarray
     support_indices: tuple
     singular_bins: tuple = ()
-    bands: tuple = None
+    bands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.bands is None:
-            whole = (0, self.grid.n_samples)
-            object.__setattr__(self, "bands", (whole,) * len(self.spectra))
+        _set_bands(self, ((0, self.grid.n_samples),) * len(self.spectra))
+
+
+def _set_bands(bank: FilterBank, bands) -> None:
+    """Set the bands of a freshly built bank; they must hold for its spectra."""
+    object.__setattr__(bank, "bands", tuple(bands))
 
 
 def fill_row(row, value) -> None:
@@ -387,11 +393,12 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
             row[sl] = _evaluate(partition, params, n, grid.xi[sl])
         bands.append((lo, hi))
     spectra.setflags(write=False)
-    return FilterBank(
+    bank = FilterBank(
         partition=partition,
         params=params,
         grid=grid,
         spectra=spectra,
         support_indices=partition.support_indices,
-        bands=tuple(bands),
     )
+    _set_bands(bank, bands)
+    return bank

@@ -33,8 +33,8 @@ class FrequencyGrid:
         n = int(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
-        signed = np.arange(n, dtype=float)
-        signed[n // 2 + 1 :] -= n  # bins above N/2 carry k - N, exactly
+        k = np.arange(n)
+        signed = np.where(2 * k > n, k - n, k).astype(float)
         xi = signed * (TWO_PI / n)
         if n % 2 == 0:
             xi[n // 2] = np.pi

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, fill_row
+from .families import FilterBank, _set_bands, fill_row
 from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
 
 
@@ -57,9 +57,11 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     dual is zeroed there and the bins are listed in ``singular_bins``.
 
     The dual keeps the bank's bands. Each filter is divided on its band; the
-    rest of its row is its out-of-band zero divided by S bin by bin (numpy's
-    complex 0 / S is NaN where S is subnormal), which is the same for every
-    row with the same zero, so it is computed once per zero.
+    rest of its row is its out-of-band zero divided by S bin by bin, which is
+    the same for every row with the same zero, so it is computed once per
+    zero. numpy's complex 0 / S is NaN where S is subnormal; a row whose
+    quotient holds a NaN is no longer one zero outside its band, so its dual
+    gets the whole-row band.
     """
     epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
@@ -73,18 +75,27 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
     quotients = {}
+    bands = []
     for row, out, (lo, hi) in zip(bank.spectra, spectra, bank.bands):
         k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), bad)
         if k is not None:
             key = row[k].tobytes()
             if key not in quotients:
-                quotients[key] = row[k] / denom
-            fill_row(out, quotients[key])
+                q = row[k] / denom
+                quotients[key] = q, bool(np.isnan(q).any())
+            q, has_nan = quotients[key]
+            if has_nan:
+                lo, hi = 0, grid.n_samples
+            else:
+                fill_row(out, q)
         for sl in grid.run_slices(lo, hi):
             np.divide(row[sl], denom[sl], out=out[sl])
+        bands.append((lo, hi))
     spectra[:, bad] = 0.0
     spectra.setflags(write=False)
-    return replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
+    dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
+    _set_bands(dual, bands)
+    return dual
 
 
 def _regular_bin(slices, bad):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from cews import build_partition
+from cews import build_partition, eval_lp
+from cews.families import eval_gabor, eval_meyer, eval_shannon
 
 PI = math.pi
 INF = math.inf
@@ -35,3 +36,27 @@ def error_payload(out, err):
     payload = json.loads(err)
     assert isinstance(payload["error"], str) and isinstance(payload["message"], str)
     return payload
+
+
+def evaluate(partition, params, n, xi):
+    """The public evaluator of ``params.family`` for filter n at xi."""
+    if params.family == "littlewood-paley":
+        return eval_lp(partition, params.gamma, n, xi)
+    if params.family == "meyer":
+        return eval_meyer(partition, n, xi)
+    if params.family == "shannon":
+        return eval_shannon(partition, n, xi)
+    return eval_gabor(partition, params.gabor_rays, n, xi)
+
+
+def report_bytes(report):
+    """Every field of a FrameReport, as bytes or repr, for bit-exact equality."""
+    fields = (
+        report.a_empirical,
+        report.b_empirical,
+        report.a_analytic,
+        report.b_analytic,
+        report.per_filter_norm,
+        report.singular_bins,
+    )
+    return report.sum_squares.tobytes(), repr(fields)

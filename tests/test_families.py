@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cews.errors import (
 )
 from cews.families import eval_gabor, eval_meyer, eval_shannon
 
-from conftest import INF, PI, scaled_bounds
+from conftest import INF, PI, evaluate, scaled_bounds
 
 # three ray-covered partitions whose transitions stay disjoint at 0.9*max_gamma
 V_WITH_RAYS = ("V", (-INF, -2.0, 0.0, 1.4, 1.8, INF))
@@ -309,6 +310,15 @@ class TestSampleBank:
         )
         assert bank.bands == ((0, 32),) * 7
         assert np.array_equal(sum_squares(bank), np.full(32, 7.0))
+        with pytest.raises(TypeError):  # bands are not a constructor argument
+            FilterBank(**vars(bank))
+
+    def test_replacing_the_spectra_resets_the_bands(self, grid_partition):
+        bank = sample_bank(grid_partition, FamilyParams("shannon"), FrequencyGrid(32))
+        assert bank.bands != ((0, 32),) * 7
+        dense = replace(bank, spectra=np.ones((7, 32), dtype=complex))
+        assert dense.bands == ((0, 32),) * 7
+        assert np.array_equal(sum_squares(dense), np.full(32, 7.0))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -323,16 +333,6 @@ class TestSampleBank:
             FamilyParams("gabor", gabor_rays="sideways")
         with pytest.raises(ValueError):
             FamilyParams("haar")
-
-
-def evaluate(partition, params, n, xi):
-    if params.family == "littlewood-paley":
-        return eval_lp(partition, params.gamma, n, xi)
-    if params.family == "meyer":
-        return eval_meyer(partition, n, xi)
-    if params.family == "shannon":
-        return eval_shannon(partition, n, xi)
-    return eval_gabor(partition, params.gabor_rays, n, xi)
 
 
 def band_bins(bank, i):

@@ -16,7 +16,6 @@ from cews import (
     build_partition,
     dual_bank,
     empirical_bounds,
-    eval_lp,
     forward,
     frame_report,
     inverse,
@@ -24,9 +23,7 @@ from cews import (
     sample_bank,
     sum_squares,
 )
-from cews.families import eval_gabor, eval_meyer, eval_shannon
-
-from conftest import INF
+from conftest import INF, evaluate, report_bytes
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -162,28 +159,6 @@ def partitions_on_grid(draw):
     return partition, FrequencyGrid(draw(st.integers(1, 400)))
 
 
-def evaluate(partition, params, n, xi):
-    if params.family == "littlewood-paley":
-        return eval_lp(partition, params.gamma, n, xi)
-    if params.family == "meyer":
-        return eval_meyer(partition, n, xi)
-    if params.family == "shannon":
-        return eval_shannon(partition, n, xi)
-    return eval_gabor(partition, params.gabor_rays, n, xi)
-
-
-def report_bytes(report):
-    fields = (
-        report.a_empirical,
-        report.b_empirical,
-        report.a_analytic,
-        report.b_analytic,
-        report.per_filter_norm,
-        report.singular_bins,
-    )
-    return report.sum_squares.tobytes(), repr(fields)
-
-
 @settings(max_examples=60, deadline=None)
 @given(partitions_on_grid(), ALL_FAMILIES)
 def test_band_path_is_bit_identical(case, family):
@@ -193,7 +168,7 @@ def test_band_path_is_bit_identical(case, family):
         assume(partition.has_left_ray and partition.has_right_ray)
         assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
     bank = sample_bank(partition, params, grid)
-    whole = replace(bank, bands=None)
+    whole = replace(bank)
     assert whole.bands == ((0, grid.n_samples),) * len(bank.bands)
     for row, n, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
         assert 0 <= lo <= hi <= grid.n_samples

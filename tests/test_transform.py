@@ -17,9 +17,10 @@ from cews import (
     translate,
 )
 from cews.errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
+from cews.families import _set_bands
 
 from oracle_utils import dft_direct, idft_direct, rel_l2
-from conftest import INF
+from conftest import INF, report_bytes
 
 
 def random_signal(n, seed=0):
@@ -116,18 +117,26 @@ class TestDualBank:
         spectra = np.zeros((3, 8), dtype=complex)
         spectra[0, grid.order[:4]] = 1e-160
         spectra[1, grid.order[4:]] = 1.0
-        bank = FilterBank(
+        dense = FilterBank(
             partition=partition,
             params=FamilyParams("shannon"),
             grid=grid,
             spectra=spectra,
             support_indices=partition.support_indices,
-            bands=((0, 4), (4, 8), (0, 0)),
         )
+        # no sampled family reaches a subnormal S, so narrow the bands by hand
+        # the way sample_bank does
+        band = replace(dense)
+        _set_bands(band, ((0, 4), (4, 8), (0, 0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            band, dense = (dual_bank(b, epsilon=5e-324) for b in (bank, replace(bank, bands=None)))
-        assert band.spectra.tobytes() == dense.spectra.tobytes()
-        assert np.isnan(dense.spectra[2]).any()
+            band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
+            assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+            assert np.isnan(dense_dual.spectra[2]).any()
+            # rows whose quotient holds a NaN fall back to the whole row
+            assert band_dual.bands == ((0, 8),) * 3
+            twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
+            assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+            assert report_bytes(frame_report(band_dual)) == report_bytes(frame_report(dense_dual))
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
