@@ -34,6 +34,9 @@ GABOR_RAY_EXTENDED = "extended"
 GABOR_RAY_OPTIONS = (GABOR_RAY_LOCAL, GABOR_RAY_EXTENDED)
 
 HALF_PI = 0.5 * np.pi
+# exp(-pi (2.5 u)^2) underflows to exactly +0.0 for |u| beyond this: the
+# exponent there is below -750, and exp already gives 0 below about -745.2
+GABOR_REACH = math.sqrt(750.0 / math.pi) / 2.5
 
 
 @dataclass(frozen=True)
@@ -306,6 +309,13 @@ def gabor_mother(xi):
     return out
 
 
+def _gabor_scale(partition: Partition, n: int) -> tuple:
+    """(center, width) of Gabor filter n; a ray borrows its neighbor's width."""
+    s = partition.support(n)
+    width = partition.compact_neighbor(n).length if s.is_ray else s.length
+    return partition.support_center(n), width
+
+
 def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
     """Gabor empirical wavelet for support n at frequency xi.
 
@@ -319,8 +329,7 @@ def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
         raise ValueError(f"ray_option must be one of {GABOR_RAY_OPTIONS}")
     s = partition.support(n)
     x, scalar = _as_xi(xi)
-    center = partition.support_center(n)
-    width = partition.compact_neighbor(n).length if s.is_ray else s.length
+    center, width = _gabor_scale(partition, n)
     out = gabor_mother((x - center) / width) / math.sqrt(width)
     if s.is_ray and ray_option == GABOR_RAY_EXTENDED:
         far = x <= center if s.is_left_ray else x >= center
@@ -346,14 +355,21 @@ def _band(partition, params, n, sorted_xi) -> tuple:
 
     It is the family's support interval on the grid: closed for the
     roll-off families, since their fall ends at cos(pi/2) ~ 6e-17 rather
-    than 0, and half-open like the support itself for Shannon. Rays run to
-    the grid edge; Gabor's Gaussian takes the whole row.
+    than 0, and half-open like the support itself for Shannon. Gabor's is
+    |xi - center| <= GABOR_REACH * width, beyond which its Gaussian is
+    exactly +0.0. Rays run to the grid edge, and so does the far side of
+    an extended Gabor ray.
     """
-    if params.family == GABOR:
-        return 0, sorted_xi.size
+    s = partition.support(n)
+    side = "right"
     if params.family == SHANNON:
-        s = partition.support(n)
         first, last, side = s.lo, s.hi, "left"
+    elif params.family == GABOR:
+        center, width = _gabor_scale(partition, n)
+        first, last = center - GABOR_REACH * width, center + GABOR_REACH * width
+        if params.gabor_rays == GABOR_RAY_EXTENDED:
+            first = -math.inf if s.is_left_ray else first
+            last = math.inf if s.is_right_ray else last
     else:
         if params.family == LITTLEWOOD_PALEY:
             rise, fall = _lp_ramps(partition, _check_gamma(partition, params.gamma), n)
@@ -361,7 +377,6 @@ def _band(partition, params, n, sorted_xi) -> tuple:
             rise, fall, _ = _meyer_ramps(partition, n)
         first = -math.inf if rise is None else rise[0]
         last = math.inf if fall is None else fall[1]
-        side = "right"
     lo = int(np.searchsorted(sorted_xi, first, side="left"))
     return lo, int(np.searchsorted(sorted_xi, last, side=side))
 

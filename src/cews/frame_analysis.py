@@ -67,21 +67,49 @@ def empirical_bounds(bank) -> tuple:
 def filter_norms(bank) -> tuple:
     """Trapezoidal grid quadrature of |psi_n|^2, one value per filter.
 
-    The integrand runs over the whole grid in ascending xi, zero outside the
-    filter's band, so the pairwise sum is the same as for the dense row.
+    The value is ``np.trapezoid`` of |psi_n|^2 over the whole grid in
+    ascending xi, to the bit, but built from the filter's band alone: see
+    :func:`_pairwise_norm`.
     """
-    h = bank.grid.spacing
-    line = np.zeros(bank.grid.n_samples)
-    norms = []
-    for row, (lo, hi) in zip(bank.spectra, bank.bands):
-        pos = lo
-        for sl in bank.grid.run_slices(lo, hi):
-            stop = pos + sl.stop - sl.start
-            line[pos:stop] = np.abs(row[sl]) ** 2
-            pos = stop
-        norms.append(float(np.trapezoid(line, dx=h)))
-        line[lo:hi] = 0.0
-    return tuple(norms)
+    n_terms = bank.grid.n_samples - 1
+    return tuple(
+        float(_pairwise_norm(row, bank.grid, band, 0, n_terms))
+        for row, band in zip(bank.spectra, bank.bands)
+    )
+
+
+# numpy sums a float64 array by a pairwise tree that depends only on its
+# length: halves split at a multiple of 8, down to leaves of at most 128
+# terms; a node this small (a leaf at least) is summed in one call
+_DIRECT_TERMS = 1 << 13
+
+
+def _pairwise_norm(row, grid, band, start, count):
+    """The node of numpy's pairwise sum over trapezoid terms start, ...,
+    start + count - 1 of |row|^2 on the ascending grid.
+
+    Term j is h (y[j + 1] + y[j]) / 2, h the grid spacing, so only terms
+    lo - 1, ..., hi - 1 of band (lo, hi) can be nonzero. A node that misses
+    them sums to an exact 0.0; a node of at most _DIRECT_TERMS terms that
+    meets them is summed by ``np.add.reduce``, which walks the same subtree
+    (its leading 0.0 identity changes no sum of non-negative terms); any
+    other node adds its two halves, as numpy does. Temporaries therefore
+    hold at most _DIRECT_TERMS + 1 values, whatever the grid size.
+    """
+    lo, hi = band
+    if start >= hi or start + count < lo:
+        return 0.0
+    if count <= _DIRECT_TERMS:
+        y = np.zeros(count + 1)
+        pos = max(start, lo)
+        for sl in grid.run_slices(pos, min(start + count + 1, hi)):
+            y[pos - start : pos - start + sl.stop - sl.start] = np.abs(row[sl]) ** 2
+            pos += sl.stop - sl.start
+        return np.add.reduce(grid.spacing * (y[1:] + y[:-1]) / 2.0)
+    half = count // 2 - count // 2 % 8
+    return _pairwise_norm(row, grid, band, start, half) + _pairwise_norm(
+        row, grid, band, start + half, count - half
+    )
 
 
 def _meyer_bounds(partition: Partition) -> tuple:

@@ -57,9 +57,11 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     dual is zeroed there and the bins are listed in ``singular_bins``.
 
     The dual keeps the bank's bands. Each filter is divided on its band; the
-    rest of its row is its out-of-band zero divided by S bin by bin, which is
-    the same for every row with the same zero, so it is computed once per
-    zero. numpy's complex 0 / S is NaN where S is subnormal; a row whose
+    rest of its row is its out-of-band zero divided by S, computed once per
+    distinct zero. Where no divisor is below the smallest normal float, a
+    signed zero over any of them is one and the same signed zero, so one
+    bin's quotient fills the row. Otherwise the zero is divided bin by bin:
+    numpy's complex 0 / S is NaN where S is subnormal, and a row whose
     quotient holds a NaN is no longer one zero outside its band, so its dual
     gets the whole-row band.
     """
@@ -72,6 +74,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
     denom = np.where(bad, 1.0, s)
+    one_bin = denom.min() >= np.finfo(float).tiny
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
     quotients = {}
@@ -81,7 +84,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         if k is not None:
             key = row[k].tobytes()
             if key not in quotients:
-                q = row[k] / denom
+                q = row[k : k + 1] / (denom[k : k + 1] if one_bin else denom)
                 quotients[key] = q, bool(np.isnan(q).any())
             q, has_nan = quotients[key]
             if has_nan:

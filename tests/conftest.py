@@ -1,7 +1,17 @@
+import contextlib
 import json
 import math
+import warnings
 
 import pytest
+
+# When a property fails, hypothesis's report hook imports this module, and
+# with it libcst, whose import raises a DeprecationWarning. Under
+# filterwarnings = error that would abort the session with INTERNALERROR,
+# hiding the failing example and every later test, so import it here once.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from cews import build_partition, eval_lp
 from cews.families import eval_gabor, eval_meyer, eval_shannon

@@ -11,11 +11,13 @@ from dataclasses import replace
 
 from cews import (
     FamilyParams,
+    FilterBank,
     FrequencyGrid,
     analytic_bounds,
     build_partition,
     dual_bank,
     empirical_bounds,
+    filter_norms,
     forward,
     frame_report,
     inverse,
@@ -23,6 +25,7 @@ from cews import (
     sample_bank,
     sum_squares,
 )
+from cews.families import _set_bands
 from conftest import INF, evaluate, report_bytes
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -156,10 +159,10 @@ def partitions_on_grid(draw):
     assume(min(b - a for a, b in zip(finite, finite[1:])) >= 0.02)
     left, right = draw(st.booleans()), draw(st.booleans())
     partition = build_partition(mode, [-INF] * left + finite + [INF] * right)
-    return partition, FrequencyGrid(draw(st.integers(1, 400)))
+    return partition, FrequencyGrid(draw(st.integers(1, 400) | st.integers(1, 8192)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(partitions_on_grid(), ALL_FAMILIES)
 def test_band_path_is_bit_identical(case, family):
     partition, grid = case
@@ -189,3 +192,67 @@ def test_band_path_is_bit_identical(case, family):
         twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
     assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions_on_grid(), st.sampled_from(["gabor-local", "gabor-extended"]))
+def test_gabor_is_exactly_zero_outside_its_band(case, family):
+    partition, grid = case
+    params = make_params(partition, family)
+    bank = sample_bank(partition, params, grid)
+    for n, (lo, hi) in zip(bank.support_indices, bank.bands):
+        outside = np.ones(grid.n_samples, dtype=bool)
+        outside[grid.order[lo:hi]] = False
+        values = evaluate(partition, params, n, grid.xi)[outside]
+        assert values.tobytes() == bytes(values.nbytes)  # +0.0 in both parts
+        s = partition.support(n)
+        if family == "gabor-extended" and s.is_left_ray:
+            assert lo == 0
+        if family == "gabor-extended" and s.is_right_ray:
+            assert hi == grid.n_samples
+
+
+@st.composite
+def banded_banks(draw):
+    """A three-row bank with random bands, at most 2^18 + 1 bins, whose
+    squared band values run from about 1e-300 to 1e300."""
+    n = draw(st.integers(2, 3000) | st.integers(2**17, 2**18 + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = FrequencyGrid(n)
+    spectra = np.zeros((3, n), dtype=complex)
+    bands = []
+    for row in spectra:
+        lo, hi = sorted(draw(st.integers(0, n)) for _ in range(2))
+        # numpy's first split of the n - 1 terms, where a band may start or end
+        split = (n - 1) // 2 - (n - 1) // 2 % 8
+        lo, hi = draw(
+            st.sampled_from(
+                [(lo, hi), (lo, lo), (0, hi), (lo, n), (0, n), (min(lo, split), split), (split, max(hi, split))]
+            )
+        )
+        if draw(st.booleans()):
+            exponents = rng.uniform(-150.0, 150.0, hi - lo)
+        else:
+            exponents = np.full(hi - lo, draw(st.floats(-150.0, 150.0)))
+        phases = np.exp(2j * np.pi * rng.random(hi - lo))
+        row[grid.order[lo:hi]] = 10.0**exponents * rng.random(hi - lo) * phases
+        bands.append((lo, hi))
+    partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
+    bank = FilterBank(
+        partition=partition,
+        params=FamilyParams("shannon"),
+        grid=grid,
+        spectra=spectra,
+        support_indices=partition.support_indices,
+    )
+    _set_bands(bank, bands)
+    return bank
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_banks())
+def test_band_norms_are_numpys_trapezoid(bank):
+    # against np.trapezoid itself: a numpy that sums differently fails here
+    dense = np.abs(bank.spectra[:, bank.grid.order]) ** 2
+    for norm, line in zip(filter_norms(bank), dense):
+        assert norm.hex() == float(np.trapezoid(line, dx=bank.grid.spacing)).hex()

@@ -138,6 +138,43 @@ class TestDualBank:
             assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
             assert report_bytes(frame_report(band_dual)) == report_bytes(frame_report(dense_dual))
 
+    @pytest.mark.parametrize(
+        "low, whole_rows",
+        [
+            (2.0**-511, ()),  # min S is exactly tiny: one bin's quotient fills a row
+            (np.nextafter(2.0**-511, 0.0), ()),  # just below: divided bin by bin
+            (1e-160, (0, 1, 2)),  # S = 1e-320, where 0 / S is NaN
+        ],
+    )
+    def test_band_dual_matches_dense_at_the_one_bin_quotient_boundary(self, low, whole_rows):
+        partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
+        grid = FrequencyGrid(8)
+        # S = low^2 on the first half, 1 on the second; each row holds its
+        # own signed zero outside its band, and row 2's band is empty
+        zeros = (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+        spectra = np.array([np.full(8, z) for z in zeros])
+        spectra[0, grid.order[:4]] = low
+        spectra[1, grid.order[4:]] = 1.0
+        dense = FilterBank(
+            partition=partition,
+            params=FamilyParams("shannon"),
+            grid=grid,
+            spectra=spectra,
+            support_indices=partition.support_indices,
+        )
+        bands = ((0, 4), (4, 8), (4, 4))
+        band = replace(dense)
+        _set_bands(band, bands)
+        s_min = np.sum(np.abs(spectra) ** 2, axis=0).min()
+        assert (s_min >= np.finfo(float).tiny) == (low == 2.0**-511)
+        with np.errstate(over="ignore", invalid="ignore"):
+            band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
+            assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+            assert band_dual.bands == tuple((0, 8) if i in whole_rows else b for i, b in enumerate(bands))
+            twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
+            assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+            assert report_bytes(frame_report(band_dual)) == report_bytes(frame_report(dense_dual))
+
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
         dual = dual_bank(bank)
