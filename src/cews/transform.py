@@ -56,14 +56,12 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     raise SingularFrame (carrying the bin list); with allow_singular=True the
     dual is zeroed there and the bins are listed in ``singular_bins``.
 
-    The dual keeps the bank's bands. Each filter is divided on its band; the
-    rest of its row is its out-of-band zero divided by S, computed once per
-    distinct zero. Where no divisor is below the smallest normal float, a
-    signed zero over any of them is one and the same signed zero, so one
-    bin's quotient fills the row. Otherwise the zero is divided bin by bin:
-    numpy's complex 0 / S is NaN where S is subnormal, and a row whose
-    quotient holds a NaN is no longer one zero outside its band, so its dual
-    gets the whole-row band.
+    The dual keeps the bank's bands where no divisor is below the smallest
+    normal float. Each filter is divided on its band; a signed zero over any
+    such divisor is one and the same signed zero, so the rest of its row is
+    one bin's quotient. Otherwise every row is divided bin by bin and gets
+    the whole-row band: numpy's complex 0 / S is NaN where S is subnormal,
+    so a row need not be one zero outside its band.
     """
     epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
@@ -77,20 +75,14 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     one_bin = denom.min() >= np.finfo(float).tiny
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
-    quotients = {}
     bands = []
     for row, out, (lo, hi) in zip(bank.spectra, spectra, bank.bands):
-        k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), bad)
-        if k is not None:
-            key = row[k].tobytes()
-            if key not in quotients:
-                q = row[k : k + 1] / (denom[k : k + 1] if one_bin else denom)
-                quotients[key] = q, bool(np.isnan(q).any())
-            q, has_nan = quotients[key]
-            if has_nan:
-                lo, hi = 0, grid.n_samples
-            else:
-                fill_row(out, q)
+        if not one_bin:
+            lo, hi = 0, grid.n_samples
+        else:
+            k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), bad)
+            if k is not None:
+                fill_row(out, row[k : k + 1] / denom[k : k + 1])
         for sl in grid.run_slices(lo, hi):
             np.divide(row[sl], denom[sl], out=out[sl])
         bands.append((lo, hi))

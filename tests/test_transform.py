@@ -132,7 +132,7 @@ class TestDualBank:
             band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
             assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
             assert np.isnan(dense_dual.spectra[2]).any()
-            # rows whose quotient holds a NaN fall back to the whole row
+            # a divisor below the smallest normal float makes every row whole
             assert band_dual.bands == ((0, 8),) * 3
             twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
             assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
@@ -142,7 +142,7 @@ class TestDualBank:
         "low, whole_rows",
         [
             (2.0**-511, ()),  # min S is exactly tiny: one bin's quotient fills a row
-            (np.nextafter(2.0**-511, 0.0), ()),  # just below: divided bin by bin
+            (np.nextafter(2.0**-511, 0.0), (0, 1, 2)),  # just below: every row whole
             (1e-160, (0, 1, 2)),  # S = 1e-320, where 0 / S is NaN
         ],
     )

@@ -7,16 +7,16 @@ seeded signal and their reconstruction through the dual. Two checkouts that
 print the same digests compute the same bits. Run it from the repository
 root, once per checkout:
 
-    PYTHONPATH=src python3 tools/bank_digest.py [--banks 1300] [--max-n 3000]
+    PYTHONPATH=src python3 tools/bank_digest.py
 
-The corpus mixes V and Vstar partitions with and without rays, all five
-family variants, grids of 1 to ``--max-n`` bins (every 50th bank one of 2^17
-+ 1 bins) and guards from 1e-3 down to the smallest subnormal, so singular
-and subnormal-S cases are included. A bank that cannot be built or dualled
+The corpus is fixed, so digests from any two runs compare: 1300 banks,
+seeds 0 to 1299, mixing V and Vstar partitions with and without rays, all
+five family variants, grids of 1 to 3000 bins (every 50th bank one of 2^17 +
+1 bins) and guards from 1e-3 down to the smallest subnormal, so singular and
+subnormal-S cases are included. A bank that cannot be built or dualled
 contributes its error's class name.
 """
 
-import argparse
 import hashlib
 import math
 
@@ -36,9 +36,11 @@ from cews import (
 VARIANTS = ("littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended")
 EPSILONS = (1e-3, 1e-12, 1e-300, 1e-310, 5e-324)
 PARTS = ("sample", "dual", "dual2", "report", "forward", "inverse")
+BANKS = 1300
+MAX_N = 3000
 
 
-def random_case(seed, max_n):
+def random_case(seed):
     rng = np.random.default_rng(seed)
     mode = ("V", "Vstar")[seed % 2]
     variant = VARIANTS[(seed // 2) % len(VARIANTS)]
@@ -46,7 +48,7 @@ def random_case(seed, max_n):
     finite = [-float(v) for v in sides[0][::-1]] + [0.0] * (mode == "V") + [float(v) for v in sides[1]]
     left, right = (bool(r) for r in rng.random(2) < 0.8)
     values = [-math.inf] * left + finite + [math.inf] * right
-    n = 2**17 + 1 if seed % 50 == 49 else int(rng.integers(1, max_n + 1))
+    n = 2**17 + 1 if seed % 50 == 49 else int(rng.integers(1, MAX_N + 1))
     return mode, values, variant, n, EPSILONS[int(rng.integers(len(EPSILONS)))], rng
 
 
@@ -70,13 +72,13 @@ def report_fields(report):
     return report.sum_squares.tobytes() + repr(fields).encode()
 
 
-def bank_parts(seed, max_n):
+def bank_parts(seed):
     """({part: bytes}, kind) for one bank of the corpus.
 
     kind is "error", "subnormal" (the dual holds NaN: S is subnormal
     somewhere), "singular" (some bin is below the guard) or "regular".
     """
-    mode, values, variant, n, epsilon, rng = random_case(seed, max_n)
+    mode, values, variant, n, epsilon, rng = random_case(seed)
     try:
         partition = build_partition(mode, values)
         grid = FrequencyGrid(n)
@@ -100,16 +102,12 @@ def bank_parts(seed, max_n):
     return parts, "singular" if dual.singular_bins else "regular"
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--banks", type=int, default=1300)
-    parser.add_argument("--max-n", type=int, default=3000)
-    args = parser.parse_args(argv)
+def main():
     digests = {part: hashlib.sha256() for part in PARTS}
     kinds = dict.fromkeys(("regular", "singular", "subnormal", "error"), 0)
     with np.errstate(all="ignore"):
-        for seed in range(args.banks):
-            parts, kind = bank_parts(seed, args.max_n)
+        for seed in range(BANKS):
+            parts, kind = bank_parts(seed)
             for part, data in parts.items():
                 digests[part].update(data)
             kinds[kind] += 1
