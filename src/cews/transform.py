@@ -40,13 +40,46 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
         raise LengthMismatch(
             f"signal length {x.shape} does not match grid size {bank.grid.n_samples}"
         )
-    # one K x N buffer; the spectrum stays the left operand, since complex
-    # multiplication in numpy is not bit-commutative
-    rows = np.conj(bank.spectra)
-    np.multiply(np.fft.fft(x)[None, :], rows, out=rows)
+    spectrum = np.fft.fft(x)
+    if bank.spectra.size == 1:
+        # numpy rounds a product of one element taken in place apart from its
+        # vector loop, and the whole-array formula takes this one in place
+        rows = np.conj(bank.spectra)
+        np.multiply(spectrum[None, :], rows, out=rows)
+    else:
+        rows = _products(spectrum, bank)
     np.fft.ifft(rows, axis=1, out=rows)
     rows.setflags(write=False)
     return EwtCoefficients(rows=rows, support_indices=bank.support_indices)
+
+
+def _products(spectrum, bank: FilterBank) -> np.ndarray:
+    """spectrum * conj(spectra[n]) for every row n, computed band by band.
+
+    The spectrum stays the left operand, since complex multiplication in
+    numpy is not bit-commutative. Outside its band a row's products are
+    signed zeros whose signs follow the spectrum, so they are computed too,
+    against the row's zero as a 1-element array, so that numpy runs the same
+    multiply loop as on the whole row.
+    """
+    grid = bank.grid
+    n = grid.n_samples
+    bad = _singular_mask(bank)
+    rows = np.empty(bank.spectra.shape, dtype=complex)
+    for out, filt, (lo, hi) in zip(rows, bank.spectra, bank.bands):
+        for sl in grid.run_slices(lo, hi):
+            np.multiply(spectrum[sl], np.conj(filt[sl]), out=out[sl])
+        outside = grid.run_slices(hi, lo + n)
+        k = _regular_bin(outside, bad)
+        if k is not None:
+            zero = np.conj(filt[k : k + 1])
+            for sl in outside:
+                np.multiply(spectrum[sl], zero, out=out[sl])
+    if bad is not None:
+        # every row holds +0.0 here, not its out-of-band zero
+        bins = np.asarray(bank.singular_bins)
+        rows[:, bins] = spectrum[bins] * np.conj(bank.spectra[:, bins])
+    return rows
 
 
 def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular: bool = False) -> FilterBank:
@@ -73,6 +106,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         )
     denom = np.where(bad, 1.0, s)
     one_bin = denom.min() >= np.finfo(float).tiny
+    scan = bad if bins.size else None
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
     bands = []
@@ -80,7 +114,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         if not one_bin:
             lo, hi = 0, grid.n_samples
         else:
-            k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), bad)
+            k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), scan)
             if k is not None:
                 fill_row(out, row[k : k + 1] / denom[k : k + 1])
         for sl in grid.run_slices(lo, hi):
@@ -93,13 +127,25 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     return dual
 
 
+def _singular_mask(bank: FilterBank):
+    """Boolean mask of the bank's singular bins, or None when it has none."""
+    if not bank.singular_bins:
+        return None
+    bad = np.zeros(bank.grid.n_samples, dtype=bool)
+    bad[list(bank.singular_bins)] = True
+    return bad
+
+
 def _regular_bin(slices, bad):
-    """First bin in ``slices`` that is not singular, or None.
+    """First bin in ``slices`` that is not singular (``bad`` may be None, for
+    no singular bin), or None.
 
     Outside its band a row holds its one zero at every such bin; the others
     are zero-filled in the dual whatever they hold.
     """
     for sl in slices:
+        if bad is None:
+            return sl.start
         j = sl.start + int(np.argmin(bad[sl]))
         if not bad[j]:
             return j
@@ -113,10 +159,27 @@ def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
         raise ShapeMismatch(
             f"coefficient shape {coeffs.rows.shape} does not match bank shape {bank.spectra.shape}"
         )
+    grid = bank.grid
+    n = grid.n_samples
     # fixed enumeration order keeps the summation bit-deterministic
-    acc = np.zeros(coeffs.rows.shape[1], dtype=complex)
-    for row, filt in zip(coeffs.rows, bank.spectra):
-        acc += np.fft.fft(row) * filt
+    acc = np.zeros(n, dtype=complex)
+    buffer = np.empty(n, dtype=complex)
+    for row, filt, (lo, hi) in zip(coeffs.rows, bank.spectra, bank.bands):
+        np.fft.fft(row, out=buffer)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(buffer))
+        if hi - lo == n or not finite:
+            acc += buffer * filt
+            continue
+        # acc starts at +0.0 and never becomes -0.0, so adding a finite value
+        # times the row's out-of-band signed zero would leave it unchanged.
+        # All products come before all sums, as in the whole-row expression,
+        # and none is taken in place: numpy's in-place multiply of one
+        # element need not round as its vector loop does
+        band = grid.run_slices(lo, hi)
+        products = [buffer[sl] * filt[sl] for sl in band]
+        for sl, product in zip(band, products):
+            acc[sl] += product
     return acc
 
 

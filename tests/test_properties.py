@@ -5,11 +5,12 @@ the zero boundary in V mode) and grids of odd and even size.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dataclasses import replace
 
 from cews import (
+    EwtCoefficients,
     FamilyParams,
     FilterBank,
     FrequencyGrid,
@@ -210,6 +211,88 @@ def test_gabor_is_exactly_zero_outside_its_band(case, family):
             assert lo == 0
         if family == "gabor-extended" and s.is_right_ray:
             assert hi == grid.n_samples
+
+
+def dense_forward(x, bank):
+    """``forward`` as the whole-row formula: every cell of every row."""
+    rows = np.conj(bank.spectra)
+    np.multiply(np.fft.fft(x)[None, :], rows, out=rows)
+    np.fft.ifft(rows, axis=1, out=rows)
+    return rows
+
+
+def dense_inverse(coeffs, bank, frame_bound=None):
+    """``inverse`` (or ``inverse_tight`` with a frame bound) as the whole-row
+    sum over every cell of every row."""
+    acc = np.zeros(coeffs.rows.shape[1], dtype=complex)
+    for row, filt in zip(coeffs.rows, bank.spectra):
+        acc += np.fft.fft(row) * filt
+    return np.fft.ifft(acc if frame_bound is None else acc / frame_bound)
+
+
+# the non-finite values a signal or a coefficient may hold
+SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(-np.inf, np.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    partitions_on_grid(),
+    ALL_FAMILIES,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["finite", "signal", "coefficients", "huge"]),
+)
+# a Meyer dual whose first out-of-band bin is singular, so it holds +0.0 and
+# not the row's zero
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+    seed=0,
+    poison="finite",
+)
+# Shannon bands one bin wide
+@example(
+    case=(build_partition("V", [-0.0625, 0.0, 1.0]), FrequencyGrid(160)),
+    family="shannon",
+    seed=0,
+    poison="finite",
+)
+# one filter on one bin: the whole-array product is taken in place
+@example(
+    case=(build_partition("Vstar", [-1.0, 0.5]), FrequencyGrid(1)),
+    family="shannon",
+    seed=0,
+    poison="finite",
+)
+def test_transform_is_the_dense_formula(case, family, seed, poison):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    bank = sample_bank(partition, params, grid)
+    rng = np.random.default_rng(seed)
+    x = make_signal(grid, seed)
+    n = grid.n_samples
+    if poison == "signal":
+        x[rng.integers(n, size=2)] = rng.choice(SPECIALS, size=2)
+    with np.errstate(all="ignore"):
+        # whole-row bands, and duals with some or about half the bins singular
+        banks = [bank, replace(bank)]
+        for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
+            if epsilon > 0.0:
+                banks += [dual_bank(b, epsilon, allow_singular=True) for b in banks[:2]]
+        for b in banks:
+            rows = forward(x, b).rows
+            assert rows.tobytes() == dense_forward(x, b).tobytes()
+            rows = rows.copy()
+            if poison == "coefficients":
+                cells = rng.integers(rows.size, size=3)
+                rows.flat[cells] = rng.choice(SPECIALS, size=3)
+            elif poison == "huge":
+                rows *= 1e306  # the row FFTs overflow
+            coeffs = EwtCoefficients(rows=rows, support_indices=b.support_indices)
+            assert inverse(coeffs, b).tobytes() == dense_inverse(coeffs, b).tobytes()
+            assert inverse_tight(coeffs, b, 0.75).tobytes() == dense_inverse(coeffs, b, 0.75).tobytes()
 
 
 @st.composite

@@ -54,9 +54,17 @@ NARROW = ("Vstar", (-INF, -0.05, 0.05, INF))
 
 
 class TestForward:
-    @pytest.mark.parametrize("family", ["meyer", "gabor"])
-    def test_rows_are_the_dense_formula_bit_for_bit(self, grid_partition, family):
-        kwargs = {"gabor_rays": "extended"} if family == "gabor" else {}
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        [
+            pytest.param("littlewood-paley", {}, id="littlewood-paley"),
+            pytest.param("meyer", {}, id="meyer"),
+            pytest.param("shannon", {}, id="shannon"),
+            pytest.param("gabor", {"gabor_rays": "extended"}, id="gabor"),
+            pytest.param("gabor", {"gabor_rays": "local"}, id="gabor-local"),
+        ],
+    )
+    def test_rows_are_the_dense_formula_bit_for_bit(self, grid_partition, family, kwargs):
         bank = make_bank(grid_partition, family, 512, **kwargs)
         x = random_signal(512, seed=5)
         expected = np.fft.ifft(np.fft.fft(x)[None, :] * np.conj(bank.spectra), axis=1)

@@ -3,7 +3,9 @@ fixed corpus of random filter banks.
 
 For each bank it hashes the sampled spectra, the dual, the dual of the dual,
 the frame reports of the bank and of its dual, the forward coefficients of a
-seeded signal and their reconstruction through the dual. Two checkouts that
+seeded signal, their reconstruction through the dual and through the bank
+itself (``inverse_tight`` with A = 1), and the forward coefficients of the
+signal against the dual, whose singular bins hold +0.0 in every row. Two checkouts that
 print the same digests compute the same bits. Run it from the repository
 root, once per checkout:
 
@@ -30,12 +32,13 @@ from cews import (
     forward,
     frame_report,
     inverse,
+    inverse_tight,
     sample_bank,
 )
 
 VARIANTS = ("littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended")
 EPSILONS = (1e-3, 1e-12, 1e-300, 1e-310, 5e-324)
-PARTS = ("sample", "dual", "dual2", "report", "forward", "inverse")
+PARTS = ("sample", "dual", "dual2", "report", "forward", "inverse", "tight", "fwd_dual")
 BANKS = 1300
 MAX_N = 3000
 
@@ -96,6 +99,8 @@ def bank_parts(seed):
         "report": report_fields(frame_report(bank, epsilon)) + report_fields(frame_report(dual, epsilon)),
         "forward": coeffs.rows.tobytes(),
         "inverse": inverse(coeffs, dual).tobytes(),
+        "tight": inverse_tight(coeffs, bank, 1.0).tobytes(),
+        "fwd_dual": forward(x, dual).rows.tobytes(),
     }
     if np.isnan(dual.spectra).any():
         return parts, "subnormal"
