@@ -89,12 +89,12 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     raise SingularFrame (carrying the bin list); with allow_singular=True the
     dual is zeroed there and the bins are listed in ``singular_bins``.
 
-    The dual keeps the bank's bands where no divisor is below the smallest
-    normal float. Each filter is divided on its band; a signed zero over any
-    such divisor is one and the same signed zero, so the rest of its row is
-    one bin's quotient. Otherwise every row is divided bin by bin and gets
-    the whole-row band: numpy's complex 0 / S is NaN where S is subnormal,
-    so a row need not be one zero outside its band.
+    The dual keeps the bank's bands. Each filter is divided on its band; a
+    signed zero over any normal divisor is one and the same signed zero, so
+    the rest of its row is one bin's quotient. numpy divides a complex number
+    by a real S as (a + b*0) * (1/S), and 1/S overflows where S is below the
+    smallest normal float, so there the numerators and S are scaled by 2^64
+    first, which is exact.
     """
     epsilon = check_epsilon(epsilon)
     s = sum_squares(bank)
@@ -105,25 +105,26 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
     denom = np.where(bad, 1.0, s)
-    one_bin = denom.min() >= np.finfo(float).tiny
+    numer = bank.spectra
+    small = denom < np.finfo(float).tiny
+    if small.any():
+        numer = numer.copy()
+        # real and imaginary parts apart: a complex times a real is not exact
+        numer.view(float).reshape(*numer.shape, 2)[:, small] *= 2.0**64
+        denom[small] *= 2.0**64
     scan = bad if bins.size else None
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
-    bands = []
-    for row, out, (lo, hi) in zip(bank.spectra, spectra, bank.bands):
-        if not one_bin:
-            lo, hi = 0, grid.n_samples
-        else:
-            k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), scan)
-            if k is not None:
-                fill_row(out, row[k : k + 1] / denom[k : k + 1])
+    for row, out, (lo, hi) in zip(numer, spectra, bank.bands):
+        k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), scan)
+        if k is not None:
+            fill_row(out, row[k : k + 1] / denom[k : k + 1])
         for sl in grid.run_slices(lo, hi):
             np.divide(row[sl], denom[sl], out=out[sl])
-        bands.append((lo, hi))
     spectra[:, bad] = 0.0
     spectra.setflags(write=False)
     dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
-    _set_bands(dual, bands)
+    _set_bands(dual, bank.bands)
     return dual
 
 

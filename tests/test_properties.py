@@ -4,7 +4,10 @@ Partitions have both rays, 1-3 finite boundaries on each side of zero (plus
 the zero boundary in V mode) and grids of odd and even size.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dataclasses import replace
@@ -165,6 +168,11 @@ def partitions_on_grid(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(partitions_on_grid(), ALL_FAMILIES)
+# the median of S is 8.4e-320, below the smallest normal float
+@example(
+    case=(build_partition("Vstar", [-0.2734375, 0.0546875, INF]), FrequencyGrid(23)),
+    family="gabor-local",
+)
 def test_band_path_is_bit_identical(case, family):
     partition, grid = case
     params = make_params(partition, family)
@@ -190,7 +198,13 @@ def test_band_path_is_bit_identical(case, family):
         dual, dense_dual = (dual_bank(b, epsilon, allow_singular=True) for b in (bank, whole))
         assert dual.spectra.tobytes() == dense_dual.spectra.tobytes()
         assert dual.singular_bins == dense_dual.singular_bins
-        twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
+        assert np.isfinite(dual.spectra).all()
+        # a dual gain near 1 / sqrt(S) squares past the largest float when S
+        # is tiny enough; the squared sum of the dual then overflows
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(np.sum(np.abs(dual.spectra) ** 2, axis=0)).all()
+        with pytest.warns(RuntimeWarning, match="overflow") if overflows else nullcontext():
+            twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
     assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))
 

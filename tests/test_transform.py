@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,11 @@ def allpass_bank(n_samples):
         spectra=spectra,
         support_indices=(0,),
     )
+
+
+def warns_overflow(expected):
+    """Expect numpy's overflow warning inside the block, or no warning at all."""
+    return pytest.warns(RuntimeWarning, match="overflow") if expected else nullcontext()
 
 
 # narrow supports so that "local" Gabor rays vanish over most of the grid
@@ -118,8 +124,8 @@ class TestForward:
 
 class TestDualBank:
     def test_band_dual_matches_dense_where_s_is_subnormal(self):
-        # S = 1e-320 on half the grid; numpy's complex division gives NaN for
-        # 0 / S there, so a row's out-of-band quotient is not one constant
+        # S = 1e-320 on half the grid; numpy's complex division would take
+        # 1/S there, which overflows, and give inf or NaN quotients
         partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
         grid = FrequencyGrid(8)
         spectra = np.zeros((3, 8), dtype=complex)
@@ -136,25 +142,31 @@ class TestDualBank:
         # the way sample_bank does
         band = replace(dense)
         _set_bands(band, ((0, 4), (4, 8), (0, 0)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
-            assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
-            assert np.isnan(dense_dual.spectra[2]).any()
-            # a divisor below the smallest normal float makes every row whole
-            assert band_dual.bands == ((0, 8),) * 3
+        band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
+        assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+        assert band_dual.bands == band.bands
+        s = np.sum(np.abs(spectra) ** 2, axis=0)
+        low = grid.order[:4]
+        assert 0.0 < s[low[0]] < np.finfo(float).tiny
+        np.testing.assert_allclose(dense_dual.spectra[0, low], 1e-160 / s[low], rtol=1e-15)
+        assert np.isfinite(dense_dual.spectra).all()
+        # |1e160|^2 overflows: the dual of the dual, and its report, do too
+        with warns_overflow(True):
             twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
-            assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
-            assert report_bytes(frame_report(band_dual)) == report_bytes(frame_report(dense_dual))
+        assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+        with warns_overflow(True):
+            reports = [report_bytes(frame_report(d)) for d in (band_dual, dense_dual)]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
-        "low, whole_rows",
+        "low, overflows",
         [
-            (2.0**-511, ()),  # min S is exactly tiny: one bin's quotient fills a row
-            (np.nextafter(2.0**-511, 0.0), (0, 1, 2)),  # just below: every row whole
-            (1e-160, (0, 1, 2)),  # S = 1e-320, where 0 / S is NaN
+            (2.0**-511, False),  # min S is exactly the smallest normal float
+            (np.nextafter(2.0**-511, 0.0), False),  # just below: S is scaled by 2^64
+            (1e-160, True),  # S = 1e-320, and the dual squares past the largest float
         ],
     )
-    def test_band_dual_matches_dense_at_the_one_bin_quotient_boundary(self, low, whole_rows):
+    def test_band_dual_matches_dense_at_the_one_bin_quotient_boundary(self, low, overflows):
         partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
         grid = FrequencyGrid(8)
         # S = low^2 on the first half, 1 on the second; each row holds its
@@ -175,13 +187,16 @@ class TestDualBank:
         _set_bands(band, bands)
         s_min = np.sum(np.abs(spectra) ** 2, axis=0).min()
         assert (s_min >= np.finfo(float).tiny) == (low == 2.0**-511)
-        with np.errstate(over="ignore", invalid="ignore"):
-            band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
-            assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
-            assert band_dual.bands == tuple((0, 8) if i in whole_rows else b for i, b in enumerate(bands))
+        band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
+        assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+        assert band_dual.bands == bands
+        assert np.isfinite(band_dual.spectra).all()
+        with warns_overflow(overflows):
             twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
-            assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
-            assert report_bytes(frame_report(band_dual)) == report_bytes(frame_report(dense_dual))
+        assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+        with warns_overflow(overflows):
+            reports = [report_bytes(frame_report(d)) for d in (band_dual, dense_dual)]
+        assert reports[0] == reports[1]
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)

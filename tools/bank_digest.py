@@ -78,8 +78,8 @@ def report_fields(report):
 def bank_parts(seed):
     """({part: bytes}, kind) for one bank of the corpus.
 
-    kind is "error", "subnormal" (the dual holds NaN: S is subnormal
-    somewhere), "singular" (some bin is below the guard) or "regular".
+    kind is "error", "subnormal" (S is subnormal at some bin that is not
+    singular), "singular" (some bin is below the guard) or "regular".
     """
     mode, values, variant, n, epsilon, rng = random_case(seed)
     try:
@@ -92,17 +92,19 @@ def bank_parts(seed):
     twice = dual_bank(dual, epsilon, allow_singular=True)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     coeffs = forward(x, bank)
+    report = frame_report(bank, epsilon)
     parts = {
         "sample": bank.spectra.tobytes(),
         "dual": dual.spectra.tobytes() + repr(dual.singular_bins).encode(),
         "dual2": twice.spectra.tobytes() + repr(twice.singular_bins).encode(),
-        "report": report_fields(frame_report(bank, epsilon)) + report_fields(frame_report(dual, epsilon)),
+        "report": report_fields(report) + report_fields(frame_report(dual, epsilon)),
         "forward": coeffs.rows.tobytes(),
         "inverse": inverse(coeffs, dual).tobytes(),
         "tight": inverse_tight(coeffs, bank, 1.0).tobytes(),
         "fwd_dual": forward(x, dual).rows.tobytes(),
     }
-    if np.isnan(dual.spectra).any():
+    s = report.sum_squares
+    if ((s >= epsilon) & (s < np.finfo(float).tiny)).any():
         return parts, "subnormal"
     return parts, "singular" if dual.singular_bins else "regular"
 
