@@ -42,8 +42,8 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
         )
     spectrum = np.fft.fft(x)
     if bank.spectra.size == 1:
-        # numpy rounds a product of one element taken in place apart from its
-        # vector loop, and the whole-array formula takes this one in place
+        # numpy rounds a one-element product taken in place differently from
+        # its vector loop, so one cell keeps the whole-array formula's bits
         rows = np.conj(bank.spectra)
         np.multiply(spectrum[None, :], rows, out=rows)
     else:
@@ -63,21 +63,23 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
     multiply loop as on the whole row.
     """
     grid = bank.grid
-    n = grid.n_samples
-    bad = _singular_mask(bank)
+    bins = list(bank.singular_bins)
+    bad = None
+    if bins:
+        bad = np.zeros(grid.n_samples, dtype=bool)
+        bad[bins] = True
     rows = np.empty(bank.spectra.shape, dtype=complex)
     for out, filt, (lo, hi) in zip(rows, bank.spectra, bank.bands):
         for sl in grid.run_slices(lo, hi):
             np.multiply(spectrum[sl], np.conj(filt[sl]), out=out[sl])
-        outside = grid.run_slices(hi, lo + n)
+        outside = grid.run_slices(hi, lo + grid.n_samples)
         k = _regular_bin(outside, bad)
         if k is not None:
             zero = np.conj(filt[k : k + 1])
             for sl in outside:
                 np.multiply(spectrum[sl], zero, out=out[sl])
-    if bad is not None:
+    if bins:
         # every row holds +0.0 here, not its out-of-band zero
-        bins = np.asarray(bank.singular_bins)
         rows[:, bins] = spectrum[bins] * np.conj(bank.spectra[:, bins])
     return rows
 
@@ -128,18 +130,9 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     return dual
 
 
-def _singular_mask(bank: FilterBank):
-    """Boolean mask of the bank's singular bins, or None when it has none."""
-    if not bank.singular_bins:
-        return None
-    bad = np.zeros(bank.grid.n_samples, dtype=bool)
-    bad[list(bank.singular_bins)] = True
-    return bad
-
-
 def _regular_bin(slices, bad):
-    """First bin in ``slices`` that is not singular (``bad`` may be None, for
-    no singular bin), or None.
+    """First bin in ``slices`` that is not singular, or None. ``bad`` masks
+    the singular bins; None stands for none.
 
     Outside its band a row holds its one zero at every such bin; the others
     are zero-filled in the dual whatever they hold.
