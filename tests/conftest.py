@@ -70,3 +70,8 @@ def report_bytes(report):
         report.singular_bins,
     )
     return report.sum_squares.tobytes(), repr(fields)
+
+
+def warns_overflow(expected):
+    """Expect numpy's overflow warning inside the block, or no warning at all."""
+    return pytest.warns(RuntimeWarning, match="overflow") if expected else contextlib.nullcontext()

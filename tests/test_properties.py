@@ -4,10 +4,7 @@ Partitions have both rays, 1-3 finite boundaries on each side of zero (plus
 the zero boundary in V mode) and grids of odd and even size.
 """
 
-from contextlib import nullcontext
-
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dataclasses import replace
@@ -30,7 +27,7 @@ from cews import (
     sum_squares,
 )
 from cews.families import _set_bands
-from conftest import INF, evaluate, report_bytes
+from conftest import INF, evaluate, report_bytes, warns_overflow
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -203,7 +200,7 @@ def test_band_path_is_bit_identical(case, family):
         # is tiny enough; the squared sum of the dual then overflows
         with np.errstate(over="ignore"):
             overflows = not np.isfinite(np.sum(np.abs(dual.spectra) ** 2, axis=0)).all()
-        with pytest.warns(RuntimeWarning, match="overflow") if overflows else nullcontext():
+        with warns_overflow(overflows):
             twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
     assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))

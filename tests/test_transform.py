@@ -1,4 +1,3 @@
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +20,7 @@ from cews.errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFra
 from cews.families import _set_bands
 
 from oracle_utils import dft_direct, idft_direct, rel_l2
-from conftest import INF, report_bytes
+from conftest import INF, report_bytes, warns_overflow
 
 
 def random_signal(n, seed=0):
@@ -48,11 +47,6 @@ def allpass_bank(n_samples):
         spectra=spectra,
         support_indices=(0,),
     )
-
-
-def warns_overflow(expected):
-    """Expect numpy's overflow warning inside the block, or no warning at all."""
-    return pytest.warns(RuntimeWarning, match="overflow") if expected else nullcontext()
 
 
 # narrow supports so that "local" Gabor rays vanish over most of the grid

@@ -5,9 +5,9 @@ For each bank it hashes the sampled spectra, the dual, the dual of the dual,
 the frame reports of the bank and of its dual, the forward coefficients of a
 seeded signal, their reconstruction through the dual and through the bank
 itself (``inverse_tight`` with A = 1), and the forward coefficients of the
-signal against the dual, whose singular bins hold +0.0 in every row. Two checkouts that
-print the same digests compute the same bits. Run it from the repository
-root, once per checkout:
+signal against the dual, whose singular bins hold +0.0 in every row. Two
+checkouts that print the same digests compute the same bits. Run it from the
+repository root, once per checkout:
 
     PYTHONPATH=src python3 tools/bank_digest.py
 
