@@ -11,6 +11,7 @@ API uniformity.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -101,13 +102,17 @@ def _set_bands(bank: FilterBank, bands) -> None:
     object.__setattr__(bank, "bands", tuple(bands))
 
 
-def fill_row(row, value) -> None:
-    """Set a row of a fresh ``np.zeros`` array to ``value`` (an array that
-    broadcasts to it), leaving the row untouched when every bit of ``value``
-    is 0, as in +0.0: the row holds that already, and its pages stay unwritten.
+def fill_outside(row, value, slices) -> bool:
+    """Write ``value`` (a 1-element array) on ``slices`` of a row of a fresh
+    ``np.zeros`` array and return True, unless every bit of ``value`` is 0,
+    as in +0.0: the row holds that already, so nothing is written and its
+    pages stay untouched.
     """
-    if value.view(np.uint8).any():
-        row[:] = value
+    if not value.view(np.uint8).any():
+        return False
+    for sl in slices:
+        row[sl] = value
+    return True
 
 
 def beta(x):
@@ -203,20 +208,18 @@ def eval_lp(partition: Partition, gamma, n: int, xi):
     boundary uses the substitute half-width from its nearest finite neighbor.
     Ray supports keep the single transition at their finite edge.
     """
-    rise, fall = _lp_ramps(partition, _check_gamma(partition, gamma), n)
+    gamma = _check_gamma(partition, gamma)
+    s = partition.support(n)
+    rise = None if s.is_left_ray else _lp_ramp(partition, gamma, s.lo)
+    fall = None if s.is_right_ray else _lp_ramp(partition, gamma, s.hi)
     x, scalar = _as_xi(xi)
     return _finish(_bump(x, rise, fall), scalar)
 
 
-def _lp_ramps(partition: Partition, gamma: float, n: int) -> tuple:
-    """The (rise, fall) ramps of :func:`_bump` for Littlewood-Paley filter n."""
-    s = partition.support(n)
-
-    def ramp(value):
-        t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
-        return (value - t, value + t, 2.0 * t)
-
-    return (None if s.is_left_ray else ramp(s.lo)), (None if s.is_right_ray else ramp(s.hi))
+def _lp_ramp(partition: Partition, gamma: float, value: float) -> tuple:
+    """The :func:`_bump` ramp of Littlewood-Paley around a finite boundary."""
+    t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
+    return (value - t, value + t, 2.0 * t)
 
 
 # -- Meyer ----------------------------------------------------------------------
@@ -246,15 +249,15 @@ def eval_meyer(partition: Partition, n: int, xi):
     unimodular phase. The two ray filters hold 1 beyond their outermost
     center and roll off across the single adjacent span.
     """
-    rise, fall, pref = _meyer_ramps(partition, n)
+    rise, fall, pref = _meyer_ramps(_meyer_centers(partition), partition.ordinal(n))
     x, scalar = _as_xi(xi)
     return _finish(pref * _bump(x, rise, fall), scalar)
 
 
-def _meyer_ramps(partition: Partition, n: int) -> tuple:
-    """The (rise, fall) ramps of :func:`_bump` and the prefactor of Meyer filter n."""
-    centers = _meyer_centers(partition)
-    pos = partition.ordinal(n)
+def _meyer_ramps(centers, pos: int) -> tuple:
+    """The (rise, fall) ramps of :func:`_bump` and the prefactor of the Meyer
+    filter at position pos, given the support centers in enumeration order.
+    Filter pos falls on the ramp that filter pos + 1 rises on."""
     if pos == 0:
         c0, c1 = centers[0], centers[1]
         return None, (c0, c1, c1 - c0), _meyer_prefactor(c1 - c0, abs(c1))
@@ -340,45 +343,132 @@ def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
 # -- sampling --------------------------------------------------------------------
 
 
-def _evaluate(partition, params, n, xi):
-    if params.family == LITTLEWOOD_PALEY:
-        return eval_lp(partition, params.gamma, n, xi)
-    if params.family == MEYER:
-        return eval_meyer(partition, n, xi)
-    if params.family == SHANNON:
-        return eval_shannon(partition, n, xi)
-    return eval_gabor(partition, params.gabor_rays, n, xi)
-
-
-def _band(partition, params, n, sorted_xi) -> tuple:
-    """Sorted-position run (lo, hi) outside which filter n is zero.
-
-    It is the family's support interval on the grid: closed for the
-    roll-off families, since their fall ends at cos(pi/2) ~ 6e-17 rather
-    than 0, and half-open like the support itself for Shannon. Gabor's is
-    |xi - center| <= GABOR_REACH * width, beyond which its Gaussian is
-    exactly +0.0. Rays run to the grid edge, and so does the far side of
-    an extended Gabor ray.
+def _position(grid: FrequencyGrid, v: float, side: str) -> int:
+    """``np.searchsorted(grid.xi[grid.order], v, side)``, without sorting the
+    grid: every negative bin (N//2 + 1, ..., N - 1 in natural order) sorts
+    before every other one (0, ..., N//2), and each half is ascending, so the
+    position is the sum of the two halves' counts.
     """
-    s = partition.support(n)
-    side = "right"
-    if params.family == SHANNON:
-        first, last, side = s.lo, s.hi, "left"
-    elif params.family == GABOR:
-        center, width = _gabor_scale(partition, n)
-        first, last = center - GABOR_REACH * width, center + GABOR_REACH * width
-        if params.gabor_rays == GABOR_RAY_EXTENDED:
-            first = -math.inf if s.is_left_ray else first
-            last = math.inf if s.is_right_ray else last
-    else:
-        if params.family == LITTLEWOOD_PALEY:
-            rise, fall = _lp_ramps(partition, _check_gamma(partition, params.gamma), n)
+    half = grid.n_samples // 2 + 1
+    return int(np.searchsorted(grid.xi[half:], v, side)) + int(
+        np.searchsorted(grid.xi[:half], v, side)
+    )
+
+
+def _write(row, grid: FrequencyGrid, lo: int, hi: int, values, pref) -> None:
+    """Lay ``values`` (ascending-xi order, or one float) on the bins at sorted
+    positions lo, ..., hi - 1 of row, times ``pref`` unless it is None."""
+    done = 0
+    for sl in grid.run_slices(lo, hi):
+        part = values if isinstance(values, float) else values[done : done + sl.stop - sl.start]
+        if pref is None:
+            row[sl] = part
         else:
-            rise, fall, _ = _meyer_ramps(partition, n)
-        first = -math.inf if rise is None else rise[0]
-        last = math.inf if fall is None else fall[1]
-    lo = int(np.searchsorted(sorted_xi, first, side="left"))
-    return lo, int(np.searchsorted(sorted_xi, last, side=side))
+            np.multiply(pref, part, out=row[sl])
+        done += sl.stop - sl.start
+
+
+def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
+    """pi/2 beta((xi - start) / width) of a (start, stop, width) ramp on the
+    bins at sorted positions lo, ..., hi - 1, in that order."""
+    start, _, width = ramp
+    slices = grid.run_slices(lo, hi)
+    if len(slices) == 2:
+        x = np.concatenate([grid.xi[sl] for sl in slices])
+    else:
+        x = grid.xi[slices[0] if slices else slice(0)]
+    return HALF_PI * beta((x - start) / width)
+
+
+def _sample_bumps(
+    partition: Partition, params: FamilyParams, grid: FrequencyGrid, spectra
+) -> list:
+    """Write the Littlewood-Paley or Meyer rows of ``spectra``; return their bands.
+
+    Filter i rises on ramp i and falls on ramp i + 1, the ramp filter i + 1
+    rises on, with the same (start, stop, width). So each ramp's angles are
+    computed once, over its closed run of sorted positions: the fall takes
+    their cos, the neighbour's rise their sin over the half-open prefix of the
+    run. Writes go plateau, fall, rise, as in :func:`_bump`. Meyer values are
+    times the filter's prefactor, and outside its band a Meyer row holds the
+    prefactor times 0; a Littlewood-Paley row holds +0.0 there.
+    """
+    if params.family == LITTLEWOOD_PALEY:
+        gamma = _check_gamma(partition, params.gamma)
+        ramps = [
+            None if math.isinf(v) else _lp_ramp(partition, gamma, v)
+            for v in partition.boundaries
+        ]
+        prefactors = [None] * len(spectra)
+    else:
+        centers = _meyer_centers(partition)
+        plans = [_meyer_ramps(centers, pos) for pos in range(len(centers))]
+        ramps = [rise for rise, _, _ in plans] + [None]
+        prefactors = [pref for _, _, pref in plans]
+    n_bins = grid.n_samples
+    # each ramp's sorted positions: start, stop if half-open, stop if closed
+    runs = [
+        None
+        if ramp is None
+        else (
+            _position(grid, ramp[0], "left"),
+            _position(grid, ramp[1], "left"),
+            _position(grid, ramp[1], "right"),
+        )
+        for ramp in ramps
+    ]
+    angles = None if ramps[0] is None else _angles(grid, ramps[0], runs[0][0], runs[0][2])
+    bands = []
+    for i, (row, pref) in enumerate(zip(spectra, prefactors)):
+        rise, fall = runs[i], runs[i + 1]
+        lo = 0 if rise is None else rise[0]
+        hi = n_bins if fall is None else fall[2]
+        # a plateau bin on the fall's start takes the fall's 1.0 instead
+        plateau = (0 if rise is None else rise[1], n_bins if fall is None else fall[0])
+        _write(row, grid, *plateau, 1.0, pref)
+        rise_angles, angles = angles, None
+        if fall is not None:
+            angles = _angles(grid, ramps[i + 1], fall[0], fall[2])
+            _write(row, grid, fall[0], fall[2], np.cos(angles), pref)
+        if rise is not None:
+            _write(row, grid, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
+        if pref is not None:
+            fill_outside(row, pref * np.zeros(1), grid.run_slices(hi, lo + n_bins))
+        bands.append((lo, hi))
+    return bands
+
+
+def _sample_direct(
+    partition: Partition, params: FamilyParams, grid: FrequencyGrid, spectra
+) -> list:
+    """Write the Shannon or Gabor rows of ``spectra``, each its evaluator on
+    its band and, elsewhere, its evaluator at the first bin outside the band
+    (+0.0 for both families, which the rows hold already, but the evaluator
+    runs there anyway: with a tiny width, Gabor's (xi - center) / width
+    overflows, and that must raise or warn as it does on the whole row);
+    return the bands."""
+    bands = []
+    for row, n in zip(spectra, partition.support_indices):
+        s = partition.support(n)
+        if params.family == SHANNON:
+            evaluate = partial(eval_shannon, partition, n)
+            lo, hi = _position(grid, s.lo, "left"), _position(grid, s.hi, "left")
+        else:
+            evaluate = partial(eval_gabor, partition, params.gabor_rays, n)
+            center, width = _gabor_scale(partition, n)
+            first, last = center - GABOR_REACH * width, center + GABOR_REACH * width
+            if params.gabor_rays == GABOR_RAY_EXTENDED:
+                first = -math.inf if s.is_left_ray else first
+                last = math.inf if s.is_right_ray else last
+            lo, hi = _position(grid, first, "left"), _position(grid, last, "right")
+        outside = grid.run_slices(hi, lo + grid.n_samples)
+        if outside:
+            k = outside[0].start
+            fill_outside(row, evaluate(grid.xi[k : k + 1]), outside)
+        for sl in grid.run_slices(lo, hi):
+            row[sl] = evaluate(grid.xi[sl])
+        bands.append((lo, hi))
+    return bands
 
 
 def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> FilterBank:
@@ -386,27 +476,24 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
 
     Finite boundaries must sit strictly inside (-pi, pi); ray supports run to
     the grid edges. The result is deterministic: each cell is the pointwise
-    evaluator at that bin. The evaluator runs only on each filter's band;
-    every other cell of a row takes the evaluator's value at one bin outside
-    the band, a signed zero (Meyer's is its prefactor times 0, which may be
-    -0.0 in either part).
+    evaluator at that bin, to the bit. Only each filter's band is computed;
+    the rest of its row is one signed zero (Meyer's is its prefactor times 0,
+    which may be -0.0 in either part; every other family's is +0.0). The band
+    is the family's support interval on the grid: closed for the roll-off
+    families, since their fall ends at cos(pi/2) ~ 6e-17 rather than 0, and
+    half-open like the support itself for Shannon. Gabor's is
+    |xi - center| <= GABOR_REACH * width, beyond which its Gaussian is
+    exactly +0.0. Rays run to the grid edge, and so does the far side of an
+    extended Gabor ray.
     """
     for v in partition.boundaries:
         if math.isfinite(v) and not (-math.pi < v < math.pi):
             raise BoundaryOutsideGrid(f"finite boundary {v} is outside (-pi, pi)")
-    n_bins = grid.n_samples
-    sorted_xi = grid.xi[grid.order]
-    spectra = np.zeros((len(partition.supports), n_bins), dtype=complex)
-    bands = []
-    for row, n in zip(spectra, partition.support_indices):
-        lo, hi = _band(partition, params, n, sorted_xi)
-        outside = grid.run_slices(hi, lo + n_bins)
-        if outside:
-            k = outside[0].start
-            fill_row(row, _evaluate(partition, params, n, grid.xi[k : k + 1]))
-        for sl in grid.run_slices(lo, hi):
-            row[sl] = _evaluate(partition, params, n, grid.xi[sl])
-        bands.append((lo, hi))
+    spectra = np.zeros((len(partition.supports), grid.n_samples), dtype=complex)
+    if params.family in (LITTLEWOOD_PALEY, MEYER):
+        bands = _sample_bumps(partition, params, grid, spectra)
+    else:
+        bands = _sample_direct(partition, params, grid, spectra)
     spectra.setflags(write=False)
     bank = FilterBank(
         partition=partition,

@@ -71,9 +71,15 @@ def filter_norms(bank) -> tuple:
     ascending xi, to the bit, but built from the filter's band alone: see
     :func:`_pairwise_norm`.
     """
+    return _norms(bank, None)
+
+
+def _norms(bank, acc) -> tuple:
+    """:func:`filter_norms`; adds each filter's |psi|^2 into ``acc`` too,
+    filter by filter as :func:`sum_squares` does, unless it is None."""
     n_terms = bank.grid.n_samples - 1
     return tuple(
-        float(_pairwise_norm(row, bank.grid, band, 0, n_terms))
+        float(_pairwise_norm(row, bank.grid, band, 0, n_terms, acc))
         for row, band in zip(bank.spectra, bank.bands)
     )
 
@@ -84,7 +90,7 @@ def filter_norms(bank) -> tuple:
 _DIRECT_TERMS = 1 << 13
 
 
-def _pairwise_norm(row, grid, band, start, count):
+def _pairwise_norm(row, grid, band, start, count, acc):
     """The node of numpy's pairwise sum over trapezoid terms start, ...,
     start + count - 1 of |row|^2 on the ascending grid.
 
@@ -95,20 +101,29 @@ def _pairwise_norm(row, grid, band, start, count):
     (its leading 0.0 identity changes no sum of non-negative terms); any
     other node adds its two halves, as numpy does. Temporaries therefore
     hold at most _DIRECT_TERMS + 1 values, whatever the grid size.
+
+    Unless ``acc`` is None, a summed node also adds the |row|^2 of positions
+    start, ..., start + count - 1 into it, and the last node the last
+    position's too, so every band position is added once.
     """
     lo, hi = band
     if start >= hi or start + count < lo:
         return 0.0
     if count <= _DIRECT_TERMS:
         y = np.zeros(count + 1)
-        pos = max(start, lo)
+        pos = first = max(start, lo)
         for sl in grid.run_slices(pos, min(start + count + 1, hi)):
             y[pos - start : pos - start + sl.stop - sl.start] = np.abs(row[sl]) ** 2
             pos += sl.stop - sl.start
+        if acc is not None:
+            last = start + count + (start + count == grid.n_samples - 1)
+            for sl in grid.run_slices(first, min(last, hi)):
+                acc[sl] += y[first - start : first - start + sl.stop - sl.start]
+                first += sl.stop - sl.start
         return np.add.reduce(grid.spacing * (y[1:] + y[:-1]) / 2.0)
     half = count // 2 - count // 2 % 8
-    return _pairwise_norm(row, grid, band, start, half) + _pairwise_norm(
-        row, grid, band, start + half, count - half
+    return _pairwise_norm(row, grid, band, start, half, acc) + _pairwise_norm(
+        row, grid, band, start + half, count - half, acc
     )
 
 
@@ -152,7 +167,9 @@ def analytic_bounds(params: FamilyParams, partition: Partition) -> tuple:
 def frame_report(bank, epsilon: float = DEFAULT_EPSILON) -> FrameReport:
     """Assemble the full diagnostic report for a sampled bank."""
     epsilon = check_epsilon(epsilon)
-    s = sum_squares(bank)
+    # one walk yields the norms and S: each cell's |psi|^2 is computed once
+    s = np.zeros(bank.spectra.shape[1])
+    norms = _norms(bank, s)
     a_ana, b_ana = analytic_bounds(bank.params, bank.partition)
     return FrameReport(
         sum_squares=s,
@@ -160,6 +177,6 @@ def frame_report(bank, epsilon: float = DEFAULT_EPSILON) -> FrameReport:
         b_empirical=float(s.max()),
         a_analytic=a_ana,
         b_analytic=b_ana,
-        per_filter_norm=filter_norms(bank),
+        per_filter_norm=norms,
         singular_bins=tuple(int(b) for b in np.nonzero(s < epsilon)[0]),
     )

@@ -33,9 +33,10 @@ class FrequencyGrid:
         n = int(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
-        k = np.arange(n)
-        signed = np.where(2 * k > n, k - n, k).astype(float)
-        xi = signed * (TWO_PI / n)
+        # float(k) - n is exactly float(k - n) for every n below 2^53
+        xi = np.arange(n, dtype=float)
+        xi[n // 2 + 1 :] -= n
+        xi *= TWO_PI / n
         if n % 2 == 0:
             xi[n // 2] = np.pi
         xi.setflags(write=False)

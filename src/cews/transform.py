@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, _set_bands, fill_row
+from .families import FilterBank, _set_bands, fill_outside
 from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
 
 
@@ -118,12 +118,18 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
     for row, out, (lo, hi) in zip(numer, spectra, bank.bands):
-        k = _regular_bin(grid.run_slices(hi, lo + grid.n_samples), scan)
-        if k is not None:
-            fill_row(out, row[k : k + 1] / denom[k : k + 1])
-        for sl in grid.run_slices(lo, hi):
+        outside = grid.run_slices(hi, lo + grid.n_samples)
+        k = _regular_bin(outside, scan)
+        filled = k is not None and fill_outside(out, row[k : k + 1] / denom[k : k + 1], outside)
+        band = grid.run_slices(lo, hi)
+        for sl in band:
             np.divide(row[sl], denom[sl], out=out[sl])
-    spectra[:, bad] = 0.0
+        # singular bins hold +0.0; a row already does where it was not written
+        if filled:
+            out[bins] = 0.0
+        elif bins.size:
+            for sl in band:
+                out[bins[np.searchsorted(bins, sl.start) : np.searchsorted(bins, sl.stop)]] = 0.0
     spectra.setflags(write=False)
     dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
     _set_bands(dual, bank.bands)

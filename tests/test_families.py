@@ -22,7 +22,7 @@ from cews.errors import (
     MeyerRequiresRays,
     RayWithoutNeighbor,
 )
-from cews.families import eval_gabor, eval_meyer, eval_shannon
+from cews.families import _position, eval_gabor, eval_meyer, eval_shannon
 
 from conftest import INF, PI, evaluate, scaled_bounds
 
@@ -335,6 +335,22 @@ class TestSampleBank:
             FamilyParams("haar")
 
 
+def lp_gamma_ending_on(value, grid_value):
+    """gamma with value + gamma * value == grid_value exactly (value > 0)."""
+    gamma = (grid_value - value) / value
+    while value + gamma * value != grid_value:
+        gamma = np.nextafter(gamma, INF if value + gamma * value < grid_value else -INF)
+    return gamma
+
+
+def sample_as_evaluators(partition, params, grid):
+    """sample_bank, after checking each row against its public evaluator."""
+    bank = sample_bank(partition, params, grid)
+    for row, n in zip(bank.spectra, bank.support_indices):
+        assert row.tobytes() == evaluate(partition, params, n, grid.xi).tobytes(), n
+    return bank
+
+
 def band_bins(bank, i):
     lo, hi = bank.bands[i]
     return [k for sl in bank.grid.run_slices(lo, hi) for k in range(sl.start, sl.stop)]
@@ -347,17 +363,17 @@ class TestBands:
         grid = FrequencyGrid(64)
         partition = build_partition("Vstar", (-INF, -1.0, 0.5, 1.5, INF))
         # gamma that puts the fall's end 1.5 + gamma * 1.5 exactly on bin 16
-        end = grid.xi[16]
-        gamma = (end - 1.5) / 1.5
-        while 1.5 + gamma * 1.5 != end:
-            gamma = np.nextafter(gamma, INF if 1.5 + gamma * 1.5 < end else -INF)
-        bank = sample_bank(partition, FamilyParams("littlewood-paley", gamma=gamma), grid)
+        gamma = lp_gamma_ending_on(1.5, grid.xi[16])
+        params = FamilyParams("littlewood-paley", gamma=gamma)
+        bank = sample_as_evaluators(partition, params, grid)
         pos = partition.ordinal(1)
         bins = band_bins(bank, pos)
         assert bins[-1] == 16
         # the fall ends at cos(pi/2), not at 0, so a half-open band would lose it
         assert 0.0 < abs(bank.spectra[pos, 16]) < 1e-15
         assert bank.spectra[pos, 17] == 0.0 and 17 not in bins
+        # the right ray rises on the same ramp, half-open: bin 16 is its plateau
+        assert bank.spectra[pos + 1, 16] == 1.0
 
     def shannon_on_bins(self, n=16):
         grid = FrequencyGrid(n)
@@ -403,3 +419,52 @@ class TestBands:
         for row, index, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
             assert 0 <= lo <= hi <= n
             assert row.tobytes() == evaluate(partition, params, index, grid.xi).tobytes()
+
+
+class TestSamplingPlan:
+    """sample_bank finds bands without sorting the grid and shares each
+    roll-off ramp between the two filters that meet on it; every row must
+    still be its public evaluator on the whole grid."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 4097])
+    def test_band_search_is_the_sorted_grid_search(self, n):
+        grid = FrequencyGrid(n)
+        ascending = grid.xi[grid.order]
+        between = (ascending[:-1] + ascending[1:]) / 2
+        for v in [*ascending, *between, PI, -PI, INF, -INF]:
+            for side in ("left", "right"):
+                expected = int(np.searchsorted(ascending, v, side))
+                assert _position(grid, v, side) == expected, (v, side)
+
+    def test_meyer_ramp_ending_on_a_bin(self):
+        grid = FrequencyGrid(64)
+        center = grid.xi[8]
+        partition = build_partition("Vstar", (-INF, -1.0, center - 0.1, center + 0.1, 2.0, INF))
+        assert partition.support_center(1) == center  # a ramp's stop and start
+        bank = sample_as_evaluators(partition, FamilyParams("meyer"), grid)
+        assert 0.0 < abs(bank.spectra[partition.ordinal(-1), 8]) < 1e-15
+
+    @pytest.mark.parametrize(
+        "params", [FamilyParams("littlewood-paley", gamma=0.45), FamilyParams("meyer")]
+    )
+    def test_zero_boundary_ramp_wraps_from_the_last_bin_to_the_first(self, params):
+        grid = FrequencyGrid(64)
+        partition = build_partition("V", (-INF, -1.0, 0.0, 1.0, INF))
+        bank = sample_as_evaluators(partition, params, grid)
+        # the ramp support 0 rises on (over [-0.45, 0.45] or [-0.5, 0.5])
+        # holds bins N - 1 and 0
+        first, second = grid.run_slices(*bank.bands[partition.ordinal(0)])
+        assert (first.stop, second.start) == (64, 0)
+        assert grid.xi[63] > -0.45
+
+    def test_gabor_tail_overflow_is_raised_as_on_the_whole_grid(self):
+        # (xi - center) / width squares past the largest float at every bin
+        # outside the tiny support's band, where the evaluator still runs
+        partition = build_partition("Vstar", (-INF, -1e-300, 1e-300, INF))
+        params = FamilyParams("gabor", gabor_rays="local")
+        grid = FrequencyGrid(8)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                evaluate(partition, params, -1, grid.xi)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                sample_bank(partition, params, grid)

@@ -350,3 +350,12 @@ def test_band_norms_are_numpys_trapezoid(bank):
     dense = np.abs(bank.spectra[:, bank.grid.order]) ** 2
     for norm, line in zip(filter_norms(bank), dense):
         assert norm.hex() == float(np.trapezoid(line, dx=bank.grid.spacing)).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_banks())
+def test_report_adds_each_band_cell_to_s_once(bank):
+    # frame_report takes S from its norm walk, sum_squares from the bands
+    report = frame_report(bank)
+    assert report.sum_squares.tobytes() == sum_squares(bank).tobytes()
+    assert report.per_filter_norm == filter_norms(bank)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from cews import FrequencyGrid, dft, modulate, translate
 from cews.errors import LengthMismatch
+from cews.spectral import TWO_PI
 
 from oracle_utils import dft_direct
 
@@ -13,7 +14,24 @@ def random_signal(n, seed=0):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def signed_bin_xi(n):
+    """The grid as the signed bin number k or k - N times 2 pi / N, Nyquist
+    set to pi: the reference for the bytes of ``FrequencyGrid.xi``."""
+    k = np.arange(n)
+    xi = np.where(2 * k > n, k - n, k).astype(float) * (TWO_PI / n)
+    if n % 2 == 0:
+        xi[n // 2] = np.pi
+    return xi
+
+
 class TestFrequencyGrid:
+    @pytest.mark.parametrize(
+        "sizes", [range(1, 4097), (2**17 + 1, 2**20 - 1, 2**20)], ids=["1-4096", "large"]
+    )
+    def test_xi_is_the_signed_bin_formula_bit_for_bit(self, sizes):
+        for n in sizes:
+            assert FrequencyGrid(n).xi.tobytes() == signed_bin_xi(n).tobytes(), n
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 4096])
     def test_bin_mapping(self, n):
         xi = FrequencyGrid(n).xi
