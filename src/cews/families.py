@@ -77,12 +77,12 @@ class FilterBank:
     ``bands[i] = (lo, hi)`` is the band of filter i: the bins at ascending-xi
     positions lo, ..., hi - 1 (see ``FrequencyGrid.run_slices``), one cyclic
     run in natural bin order. Outside its band, row i holds one constant
-    signed zero, except at ``singular_bins``, where every row holds 0.0.
+    signed zero, except at ``singular_bins``, where every row holds +0.0.
     ``spectra`` stays dense; the bands only tell the bank's consumers which
-    cells they may skip. They are not a constructor argument: a bank built
-    directly or by ``dataclasses.replace`` has whole-row bands, and only
-    :func:`sample_bank` and ``dual_bank`` narrow them, from the spectra they
-    have just computed.
+    cells they may skip, and :meth:`_layout` alone reads them that way. They
+    are not a constructor argument: a bank built directly or by
+    ``dataclasses.replace`` has whole-row bands, and only :func:`sample_bank`
+    and ``dual_bank`` narrow them, from the spectra they have just computed.
     """
 
     partition: Partition
@@ -95,6 +95,35 @@ class FilterBank:
 
     def __post_init__(self):
         _set_bands(self, ((0, self.grid.n_samples),) * len(self.spectra))
+
+    def _layout(self):
+        """For each row in order: (band, outside, k).
+
+        ``band`` and ``outside`` are the natural-order slices of the row's
+        band and of the rest of the row, each in ascending-xi order. ``k`` is
+        the first bin of ``outside`` that is not singular, where the row holds
+        its out-of-band zero, or None if there is no such bin.
+        """
+        grid, n = self.grid, self.grid.n_samples
+        singular = None
+        if self.singular_bins:
+            singular = np.zeros(n, dtype=bool)
+            singular[list(self.singular_bins)] = True
+        for lo, hi in self.bands:
+            outside = grid.run_slices(hi, lo + n)
+            yield grid.run_slices(lo, hi), outside, _regular_bin(outside, singular)
+
+
+def _regular_bin(slices, singular):
+    """First bin in ``slices`` that is not singular, or None. ``singular``
+    masks the singular bins; None stands for none."""
+    for sl in slices:
+        if singular is None:
+            return sl.start
+        j = sl.start + int(np.argmin(singular[sl]))
+        if not singular[j]:
+            return j
+    return None
 
 
 def _set_bands(bank: FilterBank, bands) -> None:

@@ -52,8 +52,8 @@ def sum_squares(bank) -> np.ndarray:
     Each filter adds only over its band; outside it it would add an exact 0.
     """
     acc = np.zeros(bank.spectra.shape[1])
-    for row, band in zip(bank.spectra, bank.bands):
-        for sl in bank.grid.run_slices(*band):
+    for row, (band, _, _) in zip(bank.spectra, bank._layout()):
+        for sl in band:
             acc[sl] += np.abs(row[sl]) ** 2
     return acc
 

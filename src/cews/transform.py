@@ -62,22 +62,15 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
     against the row's zero as a 1-element array, so that numpy runs the same
     multiply loop as on the whole row.
     """
-    grid = bank.grid
-    bins = list(bank.singular_bins)
-    bad = None
-    if bins:
-        bad = np.zeros(grid.n_samples, dtype=bool)
-        bad[bins] = True
     rows = np.empty(bank.spectra.shape, dtype=complex)
-    for out, filt, (lo, hi) in zip(rows, bank.spectra, bank.bands):
-        for sl in grid.run_slices(lo, hi):
+    for out, filt, (band, outside, k) in zip(rows, bank.spectra, bank._layout()):
+        for sl in band:
             np.multiply(spectrum[sl], np.conj(filt[sl]), out=out[sl])
-        outside = grid.run_slices(hi, lo + grid.n_samples)
-        k = _regular_bin(outside, bad)
         if k is not None:
             zero = np.conj(filt[k : k + 1])
             for sl in outside:
                 np.multiply(spectrum[sl], zero, out=out[sl])
+    bins = list(bank.singular_bins)
     if bins:
         # every row holds +0.0 here, not its out-of-band zero
         rows[:, bins] = spectrum[bins] * np.conj(bank.spectra[:, bins])
@@ -92,21 +85,20 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     dual is zeroed there and the bins are listed in ``singular_bins``.
 
     The dual keeps the bank's bands. Each filter is divided on its band; a
-    signed zero over any normal divisor is one and the same signed zero, so
-    the rest of its row is one bin's quotient. numpy divides a complex number
-    by a real S as (a + b*0) * (1/S), and 1/S overflows where S is below the
-    smallest normal float, so there the numerators and S are scaled by 2^64
-    first, which is exact.
+    signed zero over any positive divisor is one and the same signed zero, so
+    the rest of its row is the quotient at the bank's zero bin, whatever S is
+    there. numpy divides a complex number by a real S as (a + b*0) * (1/S),
+    and 1/S overflows where S is below the smallest normal float, so there
+    the numerators and S are scaled by 2^64 first, which is exact.
     """
     epsilon = check_epsilon(epsilon)
-    s = sum_squares(bank)
-    bad = s < epsilon
-    bins = np.nonzero(bad)[0]
+    denom = sum_squares(bank)
+    bins = np.flatnonzero(denom < epsilon)
     if bins.size and not allow_singular:
         raise SingularFrame(
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
-    denom = np.where(bad, 1.0, s)
+    denom[bins] = 1.0
     numer = bank.spectra
     small = denom < np.finfo(float).tiny
     if small.any():
@@ -114,42 +106,19 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         # real and imaginary parts apart: a complex times a real is not exact
         numer.view(float).reshape(*numer.shape, 2)[:, small] *= 2.0**64
         denom[small] *= 2.0**64
-    scan = bad if bins.size else None
-    grid = bank.grid
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
-    for row, out, (lo, hi) in zip(numer, spectra, bank.bands):
-        outside = grid.run_slices(hi, lo + grid.n_samples)
-        k = _regular_bin(outside, scan)
+    for row, out, (band, outside, k) in zip(numer, spectra, bank._layout()):
         filled = k is not None and fill_outside(out, row[k : k + 1] / denom[k : k + 1], outside)
-        band = grid.run_slices(lo, hi)
         for sl in band:
             np.divide(row[sl], denom[sl], out=out[sl])
         # singular bins hold +0.0; a row already does where it was not written
-        if filled:
-            out[bins] = 0.0
-        elif bins.size:
-            for sl in band:
+        if bins.size:
+            for sl in band + outside if filled else band:
                 out[bins[np.searchsorted(bins, sl.start) : np.searchsorted(bins, sl.stop)]] = 0.0
     spectra.setflags(write=False)
     dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
     _set_bands(dual, bank.bands)
     return dual
-
-
-def _regular_bin(slices, bad):
-    """First bin in ``slices`` that is not singular, or None. ``bad`` masks
-    the singular bins; None stands for none.
-
-    Outside its band a row holds its one zero at every such bin; the others
-    are zero-filled in the dual whatever they hold.
-    """
-    for sl in slices:
-        if bad is None:
-            return sl.start
-        j = sl.start + int(np.argmin(bad[sl]))
-        if not bad[j]:
-            return j
-    return None
 
 
 def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
@@ -159,16 +128,15 @@ def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
         raise ShapeMismatch(
             f"coefficient shape {coeffs.rows.shape} does not match bank shape {bank.spectra.shape}"
         )
-    grid = bank.grid
-    n = grid.n_samples
+    n = bank.grid.n_samples
     # fixed enumeration order keeps the summation bit-deterministic
     acc = np.zeros(n, dtype=complex)
     buffer = np.empty(n, dtype=complex)
-    for row, filt, (lo, hi) in zip(coeffs.rows, bank.spectra, bank.bands):
+    for row, filt, (band, _, _) in zip(coeffs.rows, bank.spectra, bank._layout()):
         np.fft.fft(row, out=buffer)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.add.reduce(buffer))
-        if hi - lo == n or not finite:
+        if not finite:
             acc += buffer * filt
             continue
         # acc starts at +0.0 and never becomes -0.0, so adding a finite value
@@ -176,7 +144,6 @@ def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
         # All products come before all sums, as in the whole-row expression,
         # and none is taken in place: numpy's in-place multiply of one
         # element need not round as its vector loop does
-        band = grid.run_slices(lo, hi)
         products = [buffer[sl] * filt[sl] for sl in band]
         for sl, product in zip(band, products):
             acc[sl] += product

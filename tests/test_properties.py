@@ -182,12 +182,6 @@ def test_band_path_is_bit_identical(case, family):
     for row, n, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
         assert 0 <= lo <= hi <= grid.n_samples
         assert row.tobytes() == evaluate(partition, params, n, grid.xi).tobytes()
-        outside = np.ones(grid.n_samples, dtype=bool)
-        outside[grid.order[lo:hi]] = False
-        if outside.any():
-            zero = row[outside][0]
-            assert zero == 0.0
-            assert row[outside].tobytes() == zero.tobytes() * int(outside.sum())
     # the default guard, and one that makes about half the bins singular
     for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
         if epsilon <= 0.0:
@@ -204,6 +198,60 @@ def test_band_path_is_bit_identical(case, family):
             twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
     assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))
+
+
+def layout_rule_holds(bank):
+    """Each row is what ``bank._layout()`` says it is: band and rest cover
+    every bin once in ascending xi, k is the first non-singular bin of the
+    rest and holds the zero every other one of them does, and every singular
+    bin holds +0.0 in every row."""
+    grid = bank.grid
+    singular = set(bank.singular_bins)
+    rows = list(bank._layout())
+    assert len(rows) == len(bank.spectra)
+    for row, (lo, hi), (band, outside, k) in zip(bank.spectra, bank.bands, rows):
+        assert len(band) <= 2 and len(outside) <= 2
+        band_bins = [b for sl in band for b in range(sl.start, sl.stop)]
+        out_bins = [b for sl in outside for b in range(sl.start, sl.stop)]
+        assert band_bins + out_bins == np.roll(grid.order, -lo).tolist()
+        assert len(band_bins) == hi - lo
+        regular = [b for b in out_bins if b not in singular]
+        assert k == (regular[0] if regular else None)
+        if regular:
+            assert row[k] == 0.0
+            assert row[regular].tobytes() == row[k].tobytes() * len(regular)
+    cells = bank.spectra[:, sorted(singular)]
+    assert cells.tobytes() == bytes(cells.nbytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_on_grid(), ALL_FAMILIES)
+# a Meyer dual whose first out-of-band bin is singular
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+)
+# the median of S is subnormal and the dual's squared sum overflows
+@example(
+    case=(build_partition("Vstar", [-0.2734375, 0.0546875, INF]), FrequencyGrid(23)),
+    family="gabor-local",
+)
+def test_every_bank_holds_its_layout(case, family):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    bank = sample_bank(partition, params, grid)
+    banks = [bank]
+    for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
+        if epsilon > 0.0:
+            dual = dual_bank(bank, epsilon, allow_singular=True)
+            # the dual's squared sum may overflow where S is tiny
+            with np.errstate(over="ignore"):
+                banks += [dual, dual_bank(dual, epsilon, allow_singular=True)]
+    for b in banks:
+        layout_rule_holds(b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,12 +15,16 @@ The corpus is fixed, so digests from any two runs compare: 1300 banks,
 seeds 0 to 1299, mixing V and Vstar partitions with and without rays, all
 five family variants, grids of 1 to 3000 bins (every 50th bank one of 2^17 +
 1 bins) and guards from 1e-3 down to the smallest subnormal, so singular and
-subnormal-S cases are included. A bank that cannot be built or dualled
-contributes its error's class name.
+subnormal-S cases are included. A bank whose partition, grid or sampling
+raises contributes that error's class name; nothing after sampling is
+guarded (the duals take allow_singular=True, so they do not raise).
+Digests compare only under the same numpy, whose version the last line
+prints.
 """
 
 import hashlib
 import math
+import platform
 
 import numpy as np
 
@@ -124,6 +128,7 @@ def main():
         print(f"{part:8} {digests[part].hexdigest()}")
     print(f"{'all':8} {total.hexdigest()}")
     print("banks: " + ", ".join(f"{count} {kind}" for kind, count in kinds.items()))
+    print(f"numpy {np.__version__}, python {platform.python_version()}")
 
 
 if __name__ == "__main__":

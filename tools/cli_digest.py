@@ -18,12 +18,14 @@ with guards from 1e-3 down to the smallest subnormal, with and without
 finite boundaries within 3.1e-305 of zero. Some runs fail on purpose (a
 Meyer bank needs rays, a guard may leave bins singular, a tiny support
 overflows); their error line is what gets hashed. Files are named relative to a temporary working directory, so
-no path of this machine reaches the digest.
+no absolute path reaches the digest. Digests compare only under the same
+numpy, whose version the last line prints.
 """
 
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -116,6 +118,7 @@ def main():
         print(f"{command:9} {digests[command].hexdigest()}")
     print(f"{'all':9} {total.hexdigest()}")
     print("runs: " + ", ".join(f"{codes[code]} exit {code}" for code in sorted(codes)))
+    print(f"numpy {np.__version__}, python {platform.python_version()}")
 
 
 if __name__ == "__main__":
