@@ -71,13 +71,13 @@ class FilterBank:
 
     ``spectra[i, k]`` is filter i (in support enumeration order) at grid bin
     k. ``singular_bins`` is empty for sampled families; on a dual bank it
-    lists the bins where the squared filter sum fell below the guard and
-    every filter was zero-filled.
+    lists the bins where the squared filter sum fell below the guard: the
+    dual divides by infinity there, so every filter is a zero.
 
     ``bands[i] = (lo, hi)`` is the band of filter i: the bins at ascending-xi
     positions lo, ..., hi - 1 (see ``FrequencyGrid.run_slices``), one cyclic
     run in natural bin order. Outside its band, row i holds one constant
-    signed zero, except at ``singular_bins``, where every row holds +0.0.
+    signed zero.
     ``spectra`` stays dense; the bands only tell the bank's consumers which
     cells they may skip, and :meth:`_layout` alone reads them that way. They
     are not a constructor argument: a bank built directly or by
@@ -101,29 +101,13 @@ class FilterBank:
 
         ``band`` and ``outside`` are the natural-order slices of the row's
         band and of the rest of the row, each in ascending-xi order. ``k`` is
-        the first bin of ``outside`` that is not singular, where the row holds
-        its out-of-band zero, or None if there is no such bin.
+        the first bin of ``outside``, which holds the row's out-of-band zero,
+        or None if the band is the whole row.
         """
         grid, n = self.grid, self.grid.n_samples
-        singular = None
-        if self.singular_bins:
-            singular = np.zeros(n, dtype=bool)
-            singular[list(self.singular_bins)] = True
         for lo, hi in self.bands:
             outside = grid.run_slices(hi, lo + n)
-            yield grid.run_slices(lo, hi), outside, _regular_bin(outside, singular)
-
-
-def _regular_bin(slices, singular):
-    """First bin in ``slices`` that is not singular, or None. ``singular``
-    masks the singular bins; None stands for none."""
-    for sl in slices:
-        if singular is None:
-            return sl.start
-        j = sl.start + int(np.argmin(singular[sl]))
-        if not singular[j]:
-            return j
-    return None
+            yield grid.run_slices(lo, hi), outside, outside[0].start if outside else None
 
 
 def _set_bands(bank: FilterBank, bands) -> None:
@@ -131,17 +115,15 @@ def _set_bands(bank: FilterBank, bands) -> None:
     object.__setattr__(bank, "bands", tuple(bands))
 
 
-def fill_outside(row, value, slices) -> bool:
+def fill_outside(row, value, slices) -> None:
     """Write ``value`` (a 1-element array) on ``slices`` of a row of a fresh
-    ``np.zeros`` array and return True, unless every bit of ``value`` is 0,
-    as in +0.0: the row holds that already, so nothing is written and its
-    pages stay untouched.
+    ``np.zeros`` array, unless every bit of ``value`` is 0, as in +0.0: the
+    row holds that already, so nothing is written and its pages stay
+    untouched.
     """
-    if not value.view(np.uint8).any():
-        return False
-    for sl in slices:
-        row[sl] = value
-    return True
+    if value.view(np.uint8).any():
+        for sl in slices:
+            row[sl] = value
 
 
 def beta(x):

@@ -70,10 +70,6 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
             zero = np.conj(filt[k : k + 1])
             for sl in outside:
                 np.multiply(spectrum[sl], zero, out=out[sl])
-    bins = list(bank.singular_bins)
-    if bins:
-        # every row holds +0.0 here, not its out-of-band zero
-        rows[:, bins] = spectrum[bins] * np.conj(bank.spectra[:, bins])
     return rows
 
 
@@ -81,15 +77,17 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     """Pointwise dual filters phi_n = psi_n / S with S = sum_m |psi_m|^2.
 
     Bins with S < epsilon make the division meaningless: by default they
-    raise SingularFrame (carrying the bin list); with allow_singular=True the
-    dual is zeroed there and the bins are listed in ``singular_bins``.
+    raise SingularFrame (carrying the bin list); with allow_singular=True
+    they are listed in ``singular_bins`` and S is taken as infinity there,
+    so every filter is psi / inf, a zero whose signs follow psi.
 
     The dual keeps the bank's bands. Each filter is divided on its band; a
-    signed zero over any positive divisor is one and the same signed zero, so
-    the rest of its row is the quotient at the bank's zero bin, whatever S is
-    there. numpy divides a complex number by a real S as (a + b*0) * (1/S),
-    and 1/S overflows where S is below the smallest normal float, so there
-    the numerators and S are scaled by 2^64 first, which is exact.
+    signed zero over any positive divisor, infinity included, is one and the
+    same signed zero, so the rest of its row is the quotient at its first
+    out-of-band bin. numpy divides a complex number by a real S as
+    (a + b*0) * (1/S), and 1/S overflows where S is below the smallest
+    normal float, so there the numerators and S are scaled by 2^64 first,
+    which is exact.
     """
     epsilon = check_epsilon(epsilon)
     denom = sum_squares(bank)
@@ -98,7 +96,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         raise SingularFrame(
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
-    denom[bins] = 1.0
+    denom[bins] = np.inf
     numer = bank.spectra
     small = denom < np.finfo(float).tiny
     if small.any():
@@ -108,13 +106,10 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         denom[small] *= 2.0**64
     spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
     for row, out, (band, outside, k) in zip(numer, spectra, bank._layout()):
-        filled = k is not None and fill_outside(out, row[k : k + 1] / denom[k : k + 1], outside)
+        if k is not None:
+            fill_outside(out, row[k : k + 1] / denom[k : k + 1], outside)
         for sl in band:
             np.divide(row[sl], denom[sl], out=out[sl])
-        # singular bins hold +0.0; a row already does where it was not written
-        if bins.size:
-            for sl in band + outside if filled else band:
-                out[bins[np.searchsorted(bins, sl.start) : np.searchsorted(bins, sl.stop)]] = 0.0
     spectra.setflags(write=False)
     dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
     _set_bands(dual, bank.bands)

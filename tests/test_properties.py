@@ -202,11 +202,10 @@ def test_band_path_is_bit_identical(case, family):
 
 def layout_rule_holds(bank):
     """Each row is what ``bank._layout()`` says it is: band and rest cover
-    every bin once in ascending xi, k is the first non-singular bin of the
-    rest and holds the zero every other one of them does, and every singular
-    bin holds +0.0 in every row."""
+    every bin once in ascending xi, k is the first bin of the rest and holds
+    the zero every other one of them does, singular or not, and every
+    singular bin holds a zero in every row."""
     grid = bank.grid
-    singular = set(bank.singular_bins)
     rows = list(bank._layout())
     assert len(rows) == len(bank.spectra)
     for row, (lo, hi), (band, outside, k) in zip(bank.spectra, bank.bands, rows):
@@ -215,13 +214,11 @@ def layout_rule_holds(bank):
         out_bins = [b for sl in outside for b in range(sl.start, sl.stop)]
         assert band_bins + out_bins == np.roll(grid.order, -lo).tolist()
         assert len(band_bins) == hi - lo
-        regular = [b for b in out_bins if b not in singular]
-        assert k == (regular[0] if regular else None)
-        if regular:
+        assert k == (out_bins[0] if out_bins else None)
+        if out_bins:
             assert row[k] == 0.0
-            assert row[regular].tobytes() == row[k].tobytes() * len(regular)
-    cells = bank.spectra[:, sorted(singular)]
-    assert cells.tobytes() == bytes(cells.nbytes)
+            assert row[out_bins].tobytes() == row[k].tobytes() * len(out_bins)
+    assert (bank.spectra[:, list(bank.singular_bins)] == 0.0).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,6 +249,52 @@ def test_every_bank_holds_its_layout(case, family):
                 banks += [dual, dual_bank(dual, epsilon, allow_singular=True)]
     for b in banks:
         layout_rule_holds(b)
+
+
+def dense_dual(bank, epsilon):
+    """``dual_bank(bank, epsilon, allow_singular=True).spectra`` as the
+    whole-row formula: S summed row by row and taken as infinity where it is
+    below the guard, numerators and S scaled by 2^64 where S is subnormal,
+    and every cell of every row divided by S."""
+    s = np.zeros(bank.grid.n_samples)
+    for row in bank.spectra:
+        s += np.abs(row) ** 2
+    s[s < epsilon] = np.inf
+    numer = bank.spectra.copy()
+    small = s < np.finfo(float).tiny
+    numer.view(float).reshape(*numer.shape, 2)[:, small] *= 2.0**64
+    s[small] *= 2.0**64
+    return numer / s
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_on_grid(), ALL_FAMILIES)
+# a Meyer dual whose singular bins lie in bands whose values are not +0.0
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+)
+# the median of S is 8.4e-320, below the smallest normal float
+@example(
+    case=(build_partition("Vstar", [-0.2734375, 0.0546875, INF]), FrequencyGrid(23)),
+    family="gabor-local",
+)
+def test_dual_is_the_dense_formula(case, family):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    bank = sample_bank(partition, params, grid)
+    # the default guard, one that makes about half the bins singular, and
+    # one that makes only the bins where S is exactly 0 singular
+    for epsilon in (1e-12, float(np.median(sum_squares(bank))), 5e-324):
+        if epsilon <= 0.0:
+            continue
+        expected = dense_dual(bank, epsilon)
+        for b in (bank, replace(bank)):
+            dual = dual_bank(b, epsilon, allow_singular=True)
+            assert dual.spectra.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,8 +343,8 @@ SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(-
     st.integers(0, 2**32 - 1),
     st.sampled_from(["finite", "signal", "coefficients", "huge"]),
 )
-# a Meyer dual whose first out-of-band bin is singular, so it holds +0.0 and
-# not the row's zero
+# a Meyer dual whose first out-of-band bin is singular: it holds the row's
+# zero, as every out-of-band bin does
 @example(
     case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
     family="meyer",

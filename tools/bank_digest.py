@@ -5,9 +5,12 @@ For each bank it hashes the sampled spectra, the dual, the dual of the dual,
 the frame reports of the bank and of its dual, the forward coefficients of a
 seeded signal, their reconstruction through the dual and through the bank
 itself (``inverse_tight`` with A = 1), and the forward coefficients of the
-signal against the dual, whose singular bins hold +0.0 in every row. Two
-checkouts that print the same digests compute the same bits. Run it from the
-repository root, once per checkout:
+signal against the dual, whose filters are psi / inf, a zero, at its
+singular bins. The corpus makes no in-band Shannon or Meyer bin singular,
+so the signs of those zeros are pinned by the property test
+``test_dual_is_the_dense_formula``, not by this digest. Two checkouts that
+print the same digests compute the same bits. Run it from the repository
+root, once per checkout:
 
     PYTHONPATH=src python3 tools/bank_digest.py
 
@@ -19,12 +22,15 @@ subnormal-S cases are included. A bank whose partition, grid or sampling
 raises contributes that error's class name; nothing after sampling is
 guarded (the duals take allow_singular=True, so they do not raise).
 Digests compare only under the same numpy, whose version the last line
-prints.
+prints. Under a numpy and Python recorded in ``expected_digests.json`` the
+digests are compared with the recorded ones, and the tool exits 1 if any
+differs (see ``digest_gate.py``).
 """
 
 import hashlib
 import math
 import platform
+import sys
 
 import numpy as np
 
@@ -39,6 +45,7 @@ from cews import (
     inverse_tight,
     sample_bank,
 )
+from digest_gate import compare
 
 VARIANTS = ("littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended")
 EPSILONS = (1e-3, 1e-12, 1e-300, 1e-310, 5e-324)
@@ -125,11 +132,14 @@ def main():
     total = hashlib.sha256()
     for part in PARTS:
         total.update(digests[part].digest())
-        print(f"{part:8} {digests[part].hexdigest()}")
-    print(f"{'all':8} {total.hexdigest()}")
+    hexes = {part: digests[part].hexdigest() for part in PARTS}
+    hexes["all"] = total.hexdigest()
+    for part, value in hexes.items():
+        print(f"{part:8} {value}")
     print("banks: " + ", ".join(f"{count} {kind}" for kind, count in kinds.items()))
     print(f"numpy {np.__version__}, python {platform.python_version()}")
+    return compare("bank_digest", hexes)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,9 @@ finite boundaries within 3.1e-305 of zero. Some runs fail on purpose (a
 Meyer bank needs rays, a guard may leave bins singular, a tiny support
 overflows); their error line is what gets hashed. Files are named relative to a temporary working directory, so
 no absolute path reaches the digest. Digests compare only under the same
-numpy, whose version the last line prints.
+numpy, whose version the last line prints. Under a numpy and Python
+recorded in ``expected_digests.json`` the digests are compared with the
+recorded ones, and the tool exits 1 if any differs (see ``digest_gate.py``).
 """
 
 import hashlib
@@ -32,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from digest_gate import compare
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 VARIANTS = ("littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended")
@@ -115,11 +119,14 @@ def main():
     total = hashlib.sha256()
     for command in COMMANDS:
         total.update(digests[command].digest())
-        print(f"{command:9} {digests[command].hexdigest()}")
-    print(f"{'all':9} {total.hexdigest()}")
+    hexes = {command: digests[command].hexdigest() for command in COMMANDS}
+    hexes["all"] = total.hexdigest()
+    for command, value in hexes.items():
+        print(f"{command:9} {value}")
     print("runs: " + ", ".join(f"{codes[code]} exit {code}" for code in sorted(codes)))
     print(f"numpy {np.__version__}, python {platform.python_version()}")
+    return compare("cli_digest", hexes)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
