@@ -12,6 +12,7 @@ API uniformity.
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,71 @@ class FamilyParams:
             raise ValueError(f"gabor_rays must be one of {GABOR_RAY_OPTIONS}")
 
 
+class _Bands(NamedTuple):
+    """Band storage, handed to ``FilterBank`` as its ``spectra``. For a
+    sampled bank ``rows[i]`` is ``(values, zero)``: the arrays filter i takes
+    on the natural-order slices of band ``bands[i]``
+    (``FrequencyGrid.run_slices``), and its out-of-band zero as a 1-element
+    array, None if the band is the whole row. For a dual, ``rows`` is a
+    :class:`_Quotients`."""
+
+    bands: tuple
+    rows: tuple
+
+
+class _Quotients(NamedTuple):
+    """The rows of a dual bank: those of ``bank`` divided by ``denom``, the
+    squared filter sum with +inf at its singular bins."""
+
+    bank: "FilterBank"
+    denom: np.ndarray
+
+    def layout(self):
+        """The dual's ``FilterBank._layout``, each value divided as it is
+        read; a row's zero is its quotient at the first out-of-band bin."""
+        denom = self.denom
+        for band, values, outside, zero in self.bank._layout():
+            values = tuple(_divide(part, denom[sl]) for sl, part in zip(band, values))
+            if zero is not None:
+                zero = _divide(zero, denom[outside[0]][:1])
+            yield band, values, outside, zero
+
+
+def _divide(values, denom) -> np.ndarray:
+    """values / denom for a positive real denom. numpy divides a complex
+    number by a real S as (a + b*0) * (1/S), and 1/S overflows where S is
+    below the smallest normal float, so there both are scaled by 2^64 first,
+    which is exact; real and imaginary parts apart, since a complex times a
+    real is not."""
+    small = denom < np.finfo(float).tiny
+    if small.any():
+        values, denom = values.copy(), denom.copy()
+        values.view(float).reshape(-1, 2)[small] *= 2.0**64
+        denom[small] *= 2.0**64
+    return values / denom
+
+
+class _Spectra:
+    """``FilterBank.spectra``: the dense view of the bank, built from its
+    band storage on first read (see :class:`FilterBank`). The constructor
+    sets it to a dense array, or to a :class:`_Bands`."""
+
+    def __get__(self, bank, owner=None):
+        if bank is None:
+            raise AttributeError("spectra")  # a field without a default
+        storage = bank._storage
+        return storage if isinstance(storage, np.ndarray) else bank._view()
+
+    def __set__(self, bank, spectra):
+        if isinstance(spectra, _Bands):
+            bands, storage = spectra
+        else:
+            storage = np.asarray(spectra)
+            bands = ((0, bank.grid.n_samples),) * len(storage)
+        object.__setattr__(bank, "bands", tuple(bands))
+        object.__setattr__(bank, "_storage", storage)
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBank:
     """Filters sampled on a grid: an analysis family or its pointwise dual.
@@ -78,52 +144,70 @@ class FilterBank:
     positions lo, ..., hi - 1 (see ``FrequencyGrid.run_slices``), one cyclic
     run in natural bin order. Outside its band, row i holds one constant
     signed zero.
-    ``spectra`` stays dense; the bands only tell the bank's consumers which
-    cells they may skip, and :meth:`_layout` alone reads them that way. They
-    are not a constructor argument: a bank built directly or by
-    ``dataclasses.replace`` has whole-row bands, and only :func:`sample_bank`
-    and ``dual_bank`` narrow them, from the spectra they have just computed.
+
+    A bank from :func:`sample_bank` stores only each row's band values and
+    its zero; a dual from ``dual_bank`` stores only S and the bank, whose
+    values it divides by S as they are read. Every library function reads a
+    bank through :meth:`_layout`, so none builds the dense ``spectra``: they
+    are built on first read, read-only, and become the storage, which
+    ``_layout`` then reads instead, so the bank never holds both. A bank
+    built with a dense ``spectra``, by hand or by ``dataclasses.replace``,
+    stores that array and has whole-row bands. ``bands`` is not a
+    constructor argument.
     """
 
     partition: Partition
     params: FamilyParams
     grid: FrequencyGrid
-    spectra: np.ndarray
+    spectra: np.ndarray = _Spectra()
     support_indices: tuple
     singular_bins: tuple = ()
     bands: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        _set_bands(self, ((0, self.grid.n_samples),) * len(self.spectra))
-
     def _layout(self):
-        """For each row in order: (band, outside, k).
+        """For each row in order: (band, values, outside, zero).
 
         ``band`` and ``outside`` are the natural-order slices of the row's
-        band and of the rest of the row, each in ascending-xi order. ``k`` is
-        the first bin of ``outside``, which holds the row's out-of-band zero,
-        or None if the band is the whole row.
+        band and of the rest of the row, each in ascending-xi order;
+        ``values`` holds the row on each slice of ``band``, and ``zero``, a
+        1-element array, the one value it takes on ``outside``, or is None
+        if the band is the whole row.
         """
-        grid, n = self.grid, self.grid.n_samples
-        for lo, hi in self.bands:
-            outside = grid.run_slices(hi, lo + n)
-            yield grid.run_slices(lo, hi), outside, outside[0].start if outside else None
+        grid, n, storage = self.grid, self.grid.n_samples, self._storage
+        if isinstance(storage, _Quotients):
+            yield from storage.layout()
+            return
+        for i, (lo, hi) in enumerate(self.bands):
+            band, outside = grid.run_slices(lo, hi), grid.run_slices(hi, lo + n)
+            if isinstance(storage, np.ndarray):
+                row = storage[i]
+                values = tuple(row[sl] for sl in band)
+                zero = row[outside[0]][:1] if outside else None
+            else:
+                values, zero = storage[i]
+            yield band, values, outside, zero
+
+    def _view(self) -> np.ndarray:
+        """Build the dense spectra from the bank's storage and store them in
+        its place, in one assignment, so that a concurrent reader sees one
+        storage or the other, each with the same values."""
+        spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
+        for row, layout in zip(spectra, self._layout()):
+            _fill(row, *layout)
+        spectra.setflags(write=False)
+        object.__setattr__(self, "_storage", spectra)
+        return spectra
 
 
-def _set_bands(bank: FilterBank, bands) -> None:
-    """Set the bands of a freshly built bank; they must hold for its spectra."""
-    object.__setattr__(bank, "bands", tuple(bands))
-
-
-def fill_outside(row, value, slices) -> None:
-    """Write ``value`` (a 1-element array) on ``slices`` of a row of a fresh
-    ``np.zeros`` array, unless every bit of ``value`` is 0, as in +0.0: the
-    row holds that already, so nothing is written and its pages stay
-    untouched.
-    """
-    if value.view(np.uint8).any():
-        for sl in slices:
-            row[sl] = value
+def _fill(row, band, values, outside, zero) -> None:
+    """Write one row of a bank's layout onto ``row``, a row of a fresh
+    ``np.zeros`` array. The zero is written only if one of its bits is set:
+    the +0.0 the row holds already is left untouched, and so are its pages."""
+    for sl, part in zip(band, values):
+        row[sl] = part
+    if zero is not None and zero.view(np.uint8).any():
+        for sl in outside:
+            row[sl] = zero
 
 
 def beta(x):
@@ -366,17 +450,30 @@ def _position(grid: FrequencyGrid, v: float, side: str) -> int:
     )
 
 
-def _write(row, grid: FrequencyGrid, lo: int, hi: int, values, pref) -> None:
-    """Lay ``values`` (ascending-xi order, or one float) on the bins at sorted
-    positions lo, ..., hi - 1 of row, times ``pref`` unless it is None."""
-    done = 0
-    for sl in grid.run_slices(lo, hi):
-        part = values if isinstance(values, float) else values[done : done + sl.stop - sl.start]
-        if pref is None:
-            row[sl] = part
-        else:
-            np.multiply(pref, part, out=row[sl])
-        done += sl.stop - sl.start
+def _write(band, lo: int, first: int, stop: int, values, pref) -> None:
+    """Lay ``values`` (ascending-xi order, or one float) on sorted positions
+    first, ..., stop - 1 of ``band``, the values at sorted positions lo,
+    ..., times ``pref`` unless it is None."""
+    part = band[first - lo : stop - lo]
+    if pref is None:
+        part[...] = values
+    else:
+        np.multiply(pref, values, out=part)
+
+
+def _band_storage(grid: FrequencyGrid, bands) -> list:
+    """For each band (lo, hi): ``(buffer, pieces)``, a zeroed array for the
+    row's values at sorted positions lo, ..., hi - 1 and its views on the
+    natural-order slices of ``grid.run_slices(lo, hi)``. Every buffer is a
+    view of one array, so that a bank's band storage is one allocation,
+    which freed leaves one hole for the allocator to reuse, not one per row.
+    """
+    stops = np.cumsum([hi - lo for lo, hi in bands])
+    storage = []
+    for buffer, (lo, hi) in zip(np.split(np.zeros(stops[-1], dtype=complex), stops[:-1]), bands):
+        sizes = [sl.stop - sl.start for sl in grid.run_slices(lo, hi)]
+        storage.append((buffer, tuple(np.split(buffer, sizes[:-1])) if sizes else ()))
+    return storage
 
 
 def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
@@ -391,10 +488,8 @@ def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
     return HALF_PI * beta((x - start) / width)
 
 
-def _sample_bumps(
-    partition: Partition, params: FamilyParams, grid: FrequencyGrid, spectra
-) -> list:
-    """Write the Littlewood-Paley or Meyer rows of ``spectra``; return their bands.
+def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> _Bands:
+    """The bands and band storage of a Littlewood-Paley or Meyer bank.
 
     Filter i rises on ramp i and falls on ramp i + 1, the ramp filter i + 1
     rises on, with the same (start, stop, width). So each ramp's angles are
@@ -410,7 +505,7 @@ def _sample_bumps(
             None if math.isinf(v) else _lp_ramp(partition, gamma, v)
             for v in partition.boundaries
         ]
-        prefactors = [None] * len(spectra)
+        prefactors = [None] * len(partition.supports)
     else:
         centers = _meyer_centers(partition)
         plans = [_meyer_ramps(centers, pos) for pos in range(len(centers))]
@@ -429,37 +524,39 @@ def _sample_bumps(
         for ramp in ramps
     ]
     angles = None if ramps[0] is None else _angles(grid, ramps[0], runs[0][0], runs[0][2])
-    bands = []
-    for i, (row, pref) in enumerate(zip(spectra, prefactors)):
+    bands = [
+        (0 if rise is None else rise[0], n_bins if fall is None else fall[2])
+        for rise, fall in zip(runs, runs[1:])
+    ]
+    rows = []
+    for i, (pref, (lo, hi), (band, pieces)) in enumerate(
+        zip(prefactors, bands, _band_storage(grid, bands))
+    ):
         rise, fall = runs[i], runs[i + 1]
-        lo = 0 if rise is None else rise[0]
-        hi = n_bins if fall is None else fall[2]
         # a plateau bin on the fall's start takes the fall's 1.0 instead
         plateau = (0 if rise is None else rise[1], n_bins if fall is None else fall[0])
-        _write(row, grid, *plateau, 1.0, pref)
+        _write(band, lo, *plateau, 1.0, pref)
         rise_angles, angles = angles, None
         if fall is not None:
             angles = _angles(grid, ramps[i + 1], fall[0], fall[2])
-            _write(row, grid, fall[0], fall[2], np.cos(angles), pref)
+            _write(band, lo, fall[0], fall[2], np.cos(angles), pref)
         if rise is not None:
-            _write(row, grid, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
-        if pref is not None:
-            fill_outside(row, pref * np.zeros(1), grid.run_slices(hi, lo + n_bins))
-        bands.append((lo, hi))
-    return bands
+            _write(band, lo, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
+        zero = None
+        if hi - lo < n_bins:
+            zero = np.zeros(1, dtype=complex) if pref is None else pref * np.zeros(1)
+        rows.append((pieces, zero))
+    return _Bands(tuple(bands), tuple(rows))
 
 
-def _sample_direct(
-    partition: Partition, params: FamilyParams, grid: FrequencyGrid, spectra
-) -> list:
-    """Write the Shannon or Gabor rows of ``spectra``, each its evaluator on
-    its band and, elsewhere, its evaluator at the first bin outside the band
-    (+0.0 for both families, which the rows hold already, but the evaluator
-    runs there anyway: with a tiny width, Gabor's (xi - center) / width
-    overflows, and that must raise or warn as it does on the whole row);
-    return the bands."""
-    bands = []
-    for row, n in zip(spectra, partition.support_indices):
+def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> _Bands:
+    """The bands and band storage of a Shannon or Gabor bank: each row its
+    evaluator on its band and, as its zero, its evaluator at the first bin
+    outside the band (+0.0 for both families, but the evaluator runs there
+    anyway: with a tiny width, Gabor's (xi - center) / width overflows, and
+    that must raise or warn as it does on the whole row)."""
+    plans = []
+    for n in partition.support_indices:
         s = partition.support(n)
         if params.family == SHANNON:
             evaluate = partial(eval_shannon, partition, n)
@@ -472,14 +569,16 @@ def _sample_direct(
                 first = -math.inf if s.is_left_ray else first
                 last = math.inf if s.is_right_ray else last
             lo, hi = _position(grid, first, "left"), _position(grid, last, "right")
+        plans.append((evaluate, (lo, hi)))
+    bands = [band for _, band in plans]
+    rows = []
+    for (evaluate, (lo, hi)), (_, pieces) in zip(plans, _band_storage(grid, bands)):
         outside = grid.run_slices(hi, lo + grid.n_samples)
-        if outside:
-            k = outside[0].start
-            fill_outside(row, evaluate(grid.xi[k : k + 1]), outside)
-        for sl in grid.run_slices(lo, hi):
-            row[sl] = evaluate(grid.xi[sl])
-        bands.append((lo, hi))
-    return bands
+        zero = evaluate(grid.xi[outside[0]][:1]) if outside else None
+        for piece, sl in zip(pieces, grid.run_slices(lo, hi)):
+            piece[...] = evaluate(grid.xi[sl])
+        rows.append((pieces, zero))
+    return _Bands(tuple(bands), tuple(rows))
 
 
 def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> FilterBank:
@@ -487,8 +586,9 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
 
     Finite boundaries must sit strictly inside (-pi, pi); ray supports run to
     the grid edges. The result is deterministic: each cell is the pointwise
-    evaluator at that bin, to the bit. Only each filter's band is computed;
-    the rest of its row is one signed zero (Meyer's is its prefactor times 0,
+    evaluator at that bin, to the bit. Only each filter's band is computed
+    and stored (see :class:`FilterBank`); the rest of its row is one signed
+    zero (Meyer's is its prefactor times 0,
     which may be -0.0 in either part; every other family's is +0.0). The band
     is the family's support interval on the grid: closed for the roll-off
     families, since their fall ends at cos(pi/2) ~ 6e-17 rather than 0, and
@@ -500,18 +600,14 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
     for v in partition.boundaries:
         if math.isfinite(v) and not (-math.pi < v < math.pi):
             raise BoundaryOutsideGrid(f"finite boundary {v} is outside (-pi, pi)")
-    spectra = np.zeros((len(partition.supports), grid.n_samples), dtype=complex)
     if params.family in (LITTLEWOOD_PALEY, MEYER):
-        bands = _sample_bumps(partition, params, grid, spectra)
+        spectra = _sample_bumps(partition, params, grid)
     else:
-        bands = _sample_direct(partition, params, grid, spectra)
-    spectra.setflags(write=False)
-    bank = FilterBank(
+        spectra = _sample_direct(partition, params, grid)
+    return FilterBank(
         partition=partition,
         params=params,
         grid=grid,
         spectra=spectra,
         support_indices=partition.support_indices,
     )
-    _set_bands(bank, bands)
-    return bank

@@ -49,12 +49,13 @@ class FrameReport:
 def sum_squares(bank) -> np.ndarray:
     """S(xi_k) = sum over filters of |spectra[n, k]|^2, in fixed index order.
 
-    Each filter adds only over its band; outside it it would add an exact 0.
+    Each filter adds only its band values, read through ``bank._layout()``;
+    outside its band it would add an exact 0.
     """
-    acc = np.zeros(bank.spectra.shape[1])
-    for row, (band, _, _) in zip(bank.spectra, bank._layout()):
-        for sl in band:
-            acc[sl] += np.abs(row[sl]) ** 2
+    acc = np.zeros(bank.grid.n_samples)
+    for band, values, _, _ in bank._layout():
+        for sl, part in zip(band, values):
+            acc[sl] += np.abs(part) ** 2
     return acc
 
 
@@ -79,8 +80,8 @@ def _norms(bank, acc) -> tuple:
     filter by filter as :func:`sum_squares` does, unless it is None."""
     n_terms = bank.grid.n_samples - 1
     return tuple(
-        float(_pairwise_norm(row, bank.grid, band, 0, n_terms, acc))
-        for row, band in zip(bank.spectra, bank.bands)
+        float(_pairwise_norm(values, bank.grid, band, 0, n_terms, acc))
+        for (_, values, _, _), band in zip(bank._layout(), bank.bands)
     )
 
 
@@ -90,9 +91,11 @@ def _norms(bank, acc) -> tuple:
 _DIRECT_TERMS = 1 << 13
 
 
-def _pairwise_norm(row, grid, band, start, count, acc):
+def _pairwise_norm(values, grid, band, start, count, acc):
     """The node of numpy's pairwise sum over trapezoid terms start, ...,
-    start + count - 1 of |row|^2 on the ascending grid.
+    start + count - 1 of |row|^2 on the ascending grid, for the row whose
+    band (lo, hi) holds ``values``, its ``_layout`` values: together they
+    run over sorted positions lo, ..., hi - 1.
 
     Term j is h (y[j + 1] + y[j]) / 2, h the grid spacing, so only terms
     lo - 1, ..., hi - 1 of band (lo, hi) can be nonzero. A node that misses
@@ -111,10 +114,12 @@ def _pairwise_norm(row, grid, band, start, count, acc):
         return 0.0
     if count <= _DIRECT_TERMS:
         y = np.zeros(count + 1)
-        pos = first = max(start, lo)
-        for sl in grid.run_slices(pos, min(start + count + 1, hi)):
-            y[pos - start : pos - start + sl.stop - sl.start] = np.abs(row[sl]) ** 2
-            pos += sl.stop - sl.start
+        first, stop, pos = max(start, lo), min(start + count + 1, hi), lo
+        for part in values:
+            a, b = max(first, pos), min(stop, pos + part.size)
+            if a < b:
+                y[a - start : b - start] = np.abs(part[a - pos : b - pos]) ** 2
+            pos += part.size
         if acc is not None:
             last = start + count + (start + count == grid.n_samples - 1)
             for sl in grid.run_slices(first, min(last, hi)):
@@ -122,8 +127,8 @@ def _pairwise_norm(row, grid, band, start, count, acc):
                 first += sl.stop - sl.start
         return np.add.reduce(grid.spacing * (y[1:] + y[:-1]) / 2.0)
     half = count // 2 - count // 2 % 8
-    return _pairwise_norm(row, grid, band, start, half, acc) + _pairwise_norm(
-        row, grid, band, start + half, count - half, acc
+    return _pairwise_norm(values, grid, band, start, half, acc) + _pairwise_norm(
+        values, grid, band, start + half, count - half, acc
     )
 
 
@@ -168,7 +173,7 @@ def frame_report(bank, epsilon: float = DEFAULT_EPSILON) -> FrameReport:
     """Assemble the full diagnostic report for a sampled bank."""
     epsilon = check_epsilon(epsilon)
     # one walk yields the norms and S: each cell's |psi|^2 is computed once
-    s = np.zeros(bank.spectra.shape[1])
+    s = np.zeros(bank.grid.n_samples)
     norms = _norms(bank, s)
     a_ana, b_ana = analytic_bounds(bank.params, bank.partition)
     return FrameReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, _set_bands, fill_outside
+from .families import FilterBank, _Bands, _Quotients, _fill
 from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
 
 
@@ -33,7 +33,9 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
     """Analyze a signal against a sampled filter bank.
 
     Row n equals ifft(fft(signal) * conj(spectra[n])); the operation is
-    linear in the signal and rows are mutually independent.
+    linear in the signal and rows are mutually independent. The products are
+    taken from the bank's band values and out-of-band zeros, so a bank's
+    dense ``spectra`` is never built here.
     """
     x = np.asarray(signal, dtype=complex)
     if x.ndim != 1 or x.size != bank.grid.n_samples:
@@ -41,16 +43,22 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
             f"signal length {x.shape} does not match grid size {bank.grid.n_samples}"
         )
     spectrum = np.fft.fft(x)
-    if bank.spectra.size == 1:
+    if _shape(bank) == (1, 1):
         # numpy rounds a one-element product taken in place differently from
         # its vector loop, so one cell keeps the whole-array formula's bits
-        rows = np.conj(bank.spectra)
+        _, values, _, zero = next(bank._layout())
+        rows = np.conj(values[0] if values else zero)[None]
         np.multiply(spectrum[None, :], rows, out=rows)
     else:
         rows = _products(spectrum, bank)
     np.fft.ifft(rows, axis=1, out=rows)
     rows.setflags(write=False)
     return EwtCoefficients(rows=rows, support_indices=bank.support_indices)
+
+
+def _shape(bank: FilterBank) -> tuple:
+    """The (filters, bins) shape of the bank's spectra, which are not read."""
+    return len(bank.bands), bank.grid.n_samples
 
 
 def _products(spectrum, bank: FilterBank) -> np.ndarray:
@@ -62,12 +70,12 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
     against the row's zero as a 1-element array, so that numpy runs the same
     multiply loop as on the whole row.
     """
-    rows = np.empty(bank.spectra.shape, dtype=complex)
-    for out, filt, (band, outside, k) in zip(rows, bank.spectra, bank._layout()):
-        for sl in band:
-            np.multiply(spectrum[sl], np.conj(filt[sl]), out=out[sl])
-        if k is not None:
-            zero = np.conj(filt[k : k + 1])
+    rows = np.empty(_shape(bank), dtype=complex)
+    for out, (band, values, outside, zero) in zip(rows, bank._layout()):
+        for sl, part in zip(band, values):
+            np.multiply(spectrum[sl], np.conj(part), out=out[sl])
+        if zero is not None:
+            zero = np.conj(zero)
             for sl in outside:
                 np.multiply(spectrum[sl], zero, out=out[sl])
     return rows
@@ -81,13 +89,12 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     they are listed in ``singular_bins`` and S is taken as infinity there,
     so every filter is psi / inf, a zero whose signs follow psi.
 
-    The dual keeps the bank's bands. Each filter is divided on its band; a
-    signed zero over any positive divisor, infinity included, is one and the
-    same signed zero, so the rest of its row is the quotient at its first
-    out-of-band bin. numpy divides a complex number by a real S as
-    (a + b*0) * (1/S), and 1/S overflows where S is below the smallest
-    normal float, so there the numerators and S are scaled by 2^64 first,
-    which is exact.
+    The dual keeps the bank's bands and stores only the bank and S, N
+    floats: its band values are the bank's, not a copy of them, divided by S
+    whenever they are read. Each filter is divided on its band; a signed
+    zero over any positive divisor, infinity included, is one and the same
+    signed zero, so the row's zero is the quotient at its first out-of-band
+    bin. Its ``spectra`` are built, once, on first read.
     """
     epsilon = check_epsilon(epsilon)
     denom = sum_squares(bank)
@@ -97,51 +104,44 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
     denom[bins] = np.inf
-    numer = bank.spectra
-    small = denom < np.finfo(float).tiny
-    if small.any():
-        numer = numer.copy()
-        # real and imaginary parts apart: a complex times a real is not exact
-        numer.view(float).reshape(*numer.shape, 2)[:, small] *= 2.0**64
-        denom[small] *= 2.0**64
-    spectra = np.zeros(bank.spectra.shape, dtype=bank.spectra.dtype)
-    for row, out, (band, outside, k) in zip(numer, spectra, bank._layout()):
-        if k is not None:
-            fill_outside(out, row[k : k + 1] / denom[k : k + 1], outside)
-        for sl in band:
-            np.divide(row[sl], denom[sl], out=out[sl])
-    spectra.setflags(write=False)
-    dual = replace(bank, spectra=spectra, singular_bins=tuple(int(b) for b in bins))
-    _set_bands(dual, bank.bands)
-    return dual
+    denom.setflags(write=False)
+    return replace(
+        bank,
+        spectra=_Bands(bank.bands, _Quotients(bank, denom)),
+        singular_bins=tuple(int(b) for b in bins),
+    )
 
 
 def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
     if coeffs.support_indices != bank.support_indices:
         raise ShapeMismatch("coefficient rows and bank filters index different supports")
-    if coeffs.rows.shape != bank.spectra.shape:
+    if coeffs.rows.shape != _shape(bank):
         raise ShapeMismatch(
-            f"coefficient shape {coeffs.rows.shape} does not match bank shape {bank.spectra.shape}"
+            f"coefficient shape {coeffs.rows.shape} does not match bank shape {_shape(bank)}"
         )
     n = bank.grid.n_samples
     # fixed enumeration order keeps the summation bit-deterministic
     acc = np.zeros(n, dtype=complex)
     buffer = np.empty(n, dtype=complex)
-    for row, filt, (band, _, _) in zip(coeffs.rows, bank.spectra, bank._layout()):
+    for row, layout in zip(coeffs.rows, bank._layout()):
         np.fft.fft(row, out=buffer)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.add.reduce(buffer))
         if not finite:
+            # inf or NaN times the out-of-band zero is NaN, whose sign bit
+            # depends on how numpy's multiply loop splits the row, so the
+            # product is taken over the whole row, as one array
+            filt = np.zeros(n, dtype=complex)
+            _fill(filt, *layout)
             acc += buffer * filt
             continue
         # acc starts at +0.0 and never becomes -0.0, so adding a finite value
         # times the row's out-of-band signed zero would leave it unchanged.
-        # All products come before all sums, as in the whole-row expression,
-        # and none is taken in place: numpy's in-place multiply of one
+        # No product is taken in place: numpy's in-place multiply of one
         # element need not round as its vector loop does
-        products = [buffer[sl] * filt[sl] for sl in band]
-        for sl, product in zip(band, products):
-            acc[sl] += product
+        band, values, _, _ = layout
+        for sl, part in zip(band, values):
+            acc[sl] += buffer[sl] * part
     return acc
 
 

@@ -2,7 +2,9 @@ import contextlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 # When a property fails, hypothesis's report hook imports this module, and
@@ -14,7 +16,7 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     import hypothesis.extra._patching  # noqa: F401
 
 from cews import build_partition, eval_lp
-from cews.families import eval_gabor, eval_meyer, eval_shannon
+from cews.families import _Bands, eval_gabor, eval_meyer, eval_shannon
 
 PI = math.pi
 INF = math.inf
@@ -75,3 +77,22 @@ def report_bytes(report):
 def warns_overflow(expected):
     """Expect numpy's overflow warning inside the block, or no warning at all."""
     return pytest.warns(RuntimeWarning, match="overflow") if expected else contextlib.nullcontext()
+
+
+def with_bands(bank, bands):
+    """``bank`` narrowed to ``bands``, stored as ``sample_bank`` stores a
+    bank: each row's band values and its zero, the value at the row's first
+    bin outside its band, with no dense array. The narrowed bank equals
+    ``bank`` only if each row is that zero outside its band."""
+    grid, n = bank.grid, bank.grid.n_samples
+    rows = []
+    for row, (lo, hi) in zip(bank.spectra, bands):
+        outside = grid.run_slices(hi, lo + n)
+        zero = row[outside[0]][:1].copy() if outside else None
+        rows.append((tuple(row[sl].copy() for sl in grid.run_slices(lo, hi)), zero))
+    return replace(bank, spectra=_Bands(tuple(bands), tuple(rows)))
+
+
+def holds_dense(bank):
+    """Whether the bank holds a dense K×N array, such as its built spectra."""
+    return any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(bank).values())

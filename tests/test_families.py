@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -311,7 +311,7 @@ class TestSampleBank:
         assert bank.bands == ((0, 32),) * 7
         assert np.array_equal(sum_squares(bank), np.full(32, 7.0))
         with pytest.raises(TypeError):  # bands are not a constructor argument
-            FilterBank(**vars(bank))
+            FilterBank(**{f.name: getattr(bank, f.name) for f in fields(bank)})
 
     def test_replacing_the_spectra_resets_the_bands(self, grid_partition):
         bank = sample_bank(grid_partition, FamilyParams("shannon"), FrequencyGrid(32))

@@ -26,8 +26,7 @@ from cews import (
     sample_bank,
     sum_squares,
 )
-from cews.families import _set_bands
-from conftest import INF, evaluate, report_bytes, warns_overflow
+from conftest import INF, evaluate, holds_dense, report_bytes, warns_overflow, with_bands
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -177,48 +176,63 @@ def test_band_path_is_bit_identical(case, family):
         assume(partition.has_left_ray and partition.has_right_ray)
         assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
     bank = sample_bank(partition, params, grid)
+    # the default guard, and one that makes about half the bins singular
+    epsilons = [e for e in (1e-12, float(np.median(sum_squares(bank)))) if e > 0.0]
+    # every result of the banded bank and of its duals is taken before their
+    # spectra are read
+    report = report_bytes(frame_report(bank))
+    duals = []
+    for epsilon in epsilons:
+        dual = dual_bank(bank, epsilon, allow_singular=True)
+        # a dual gain near 1 / sqrt(S) squares past the largest float when S
+        # is tiny enough; the squared sum of the dual then overflows
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(sum_squares(dual)).all()
+        with warns_overflow(overflows):
+            duals.append((epsilon, dual, dual_bank(dual, allow_singular=True), overflows))
     whole = replace(bank)
     assert whole.bands == ((0, grid.n_samples),) * len(bank.bands)
     for row, n, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
         assert 0 <= lo <= hi <= grid.n_samples
         assert row.tobytes() == evaluate(partition, params, n, grid.xi).tobytes()
-    # the default guard, and one that makes about half the bins singular
-    for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
-        if epsilon <= 0.0:
-            continue
-        dual, dense_dual = (dual_bank(b, epsilon, allow_singular=True) for b in (bank, whole))
+    for epsilon, dual, twice, overflows in duals:
+        dense_dual = dual_bank(whole, epsilon, allow_singular=True)
         assert dual.spectra.tobytes() == dense_dual.spectra.tobytes()
         assert dual.singular_bins == dense_dual.singular_bins
         assert np.isfinite(dual.spectra).all()
-        # a dual gain near 1 / sqrt(S) squares past the largest float when S
-        # is tiny enough; the squared sum of the dual then overflows
-        with np.errstate(over="ignore"):
-            overflows = not np.isfinite(np.sum(np.abs(dual.spectra) ** 2, axis=0)).all()
         with warns_overflow(overflows):
-            twice, dense_twice = (dual_bank(d, allow_singular=True) for d in (dual, dense_dual))
+            dense_twice = dual_bank(dense_dual, allow_singular=True)
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
-    assert report_bytes(frame_report(bank)) == report_bytes(frame_report(whole))
+    assert report == report_bytes(frame_report(whole))
 
 
 def layout_rule_holds(bank):
     """Each row is what ``bank._layout()`` says it is: band and rest cover
-    every bin once in ascending xi, k is the first bin of the rest and holds
-    the zero every other one of them does, singular or not, and every
-    singular bin holds a zero in every row."""
+    every bin once in ascending xi, the band values are the row on the band,
+    and the zero is the value of every bin of the rest, singular or not;
+    every singular bin holds a zero in every row. The layout is taken from
+    band storage, and read again once ``spectra`` are built: then it is
+    views of them."""
     grid = bank.grid
     rows = list(bank._layout())
-    assert len(rows) == len(bank.spectra)
-    for row, (lo, hi), (band, outside, k) in zip(bank.spectra, bank.bands, rows):
-        assert len(band) <= 2 and len(outside) <= 2
+    spectra = bank.spectra
+    assert len(rows) == len(spectra) and not spectra.flags.writeable
+    for row, (lo, hi), (band, values, outside, zero) in zip(spectra, bank.bands, rows):
+        assert len(band) == len(values) <= 2 and len(outside) <= 2
         band_bins = [b for sl in band for b in range(sl.start, sl.stop)]
         out_bins = [b for sl in outside for b in range(sl.start, sl.stop)]
         assert band_bins + out_bins == np.roll(grid.order, -lo).tolist()
         assert len(band_bins) == hi - lo
-        assert k == (out_bins[0] if out_bins else None)
+        for sl, part in zip(band, values):
+            assert part.tobytes() == row[sl].tobytes()
+        assert (zero is None) == (not out_bins)
         if out_bins:
-            assert row[k] == 0.0
-            assert row[out_bins].tobytes() == row[k].tobytes() * len(out_bins)
-    assert (bank.spectra[:, list(bank.singular_bins)] == 0.0).all()
+            assert zero.shape == (1,) and zero[0] == 0.0
+            assert row[out_bins].tobytes() == zero.tobytes() * len(out_bins)
+    assert (spectra[:, list(bank.singular_bins)] == 0.0).all()
+    for band, values, outside, zero in bank._layout():
+        assert all(np.shares_memory(part, spectra) for part in values)
+        assert zero is None or np.shares_memory(zero, spectra)
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,13 +302,66 @@ def test_dual_is_the_dense_formula(case, family):
     bank = sample_bank(partition, params, grid)
     # the default guard, one that makes about half the bins singular, and
     # one that makes only the bins where S is exactly 0 singular
-    for epsilon in (1e-12, float(np.median(sum_squares(bank))), 5e-324):
-        if epsilon <= 0.0:
-            continue
-        expected = dense_dual(bank, epsilon)
-        for b in (bank, replace(bank)):
-            dual = dual_bank(b, epsilon, allow_singular=True)
-            assert dual.spectra.tobytes() == expected.tobytes()
+    epsilons = [e for e in (1e-12, float(np.median(sum_squares(bank))), 5e-324) if e > 0.0]
+    # the duals of the banded bank are taken before its spectra are read
+    duals = [dual_bank(bank, epsilon, allow_singular=True) for epsilon in epsilons]
+    whole = replace(bank)
+    for epsilon, dual in zip(epsilons, duals):
+        expected = dense_dual(bank, epsilon).tobytes()
+        assert dual.spectra.tobytes() == expected
+        assert dual_bank(whole, epsilon, allow_singular=True).spectra.tobytes() == expected
+
+
+def library_bytes(bank, x, epsilon):
+    """Every library result on ``bank``, as bytes; none reads ``bank.spectra``."""
+    coeffs = forward(x, bank)
+    return (
+        coeffs.rows.tobytes(),
+        inverse(coeffs, bank).tobytes(),
+        inverse_tight(coeffs, bank, 0.75).tobytes(),
+        sum_squares(bank).tobytes(),
+        report_bytes(frame_report(bank, epsilon)),
+        dual_bank(bank, epsilon, allow_singular=True).spectra.tobytes(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions_on_grid(), ALL_FAMILIES, st.integers(0, 2**32 - 1))
+# a Meyer dual whose singular bins lie in bands whose values are not +0.0
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+    seed=0,
+)
+# the median of S is 8.4e-320, below the smallest normal float
+@example(
+    case=(build_partition("Vstar", [-0.2734375, 0.0546875, INF]), FrequencyGrid(23)),
+    family="gabor-local",
+    seed=0,
+)
+def test_spectra_are_built_on_first_read(case, family, seed):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    bank = sample_bank(partition, params, grid)
+    x = make_signal(grid, seed)
+    # a guard that makes about half the bins singular
+    epsilon = float(np.median(sum_squares(bank))) or 1e-12
+    with np.errstate(all="ignore"):
+        dual = dual_bank(bank, epsilon, allow_singular=True)
+        twice = dual_bank(dual, epsilon, allow_singular=True)
+        for b in (bank, dual, twice):
+            before = library_bytes(b, x, epsilon)
+            assert not holds_dense(b)
+            spectra = b.spectra
+            assert holds_dense(b) and b.spectra is spectra and not spectra.flags.writeable
+            assert library_bytes(b, x, epsilon) == before
+        for row, n in zip(bank.spectra, bank.support_indices):
+            assert row.tobytes() == evaluate(partition, params, n, grid.xi).tobytes()
+        assert dual.spectra.tobytes() == dense_dual(bank, epsilon).tobytes()
+        assert twice.spectra.tobytes() == dense_dual(dual, epsilon).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,24 +444,32 @@ def test_transform_is_the_dense_formula(case, family, seed, poison):
     n = grid.n_samples
     if poison == "signal":
         x[rng.integers(n, size=2)] = rng.choice(SPECIALS, size=2)
+
+    def check(b):
+        """The library on b, then the whole-row formula on ``b.spectra``."""
+        rows = forward(x, b).rows
+        forward_bytes = rows.tobytes()
+        rows = rows.copy()
+        if poison == "coefficients":
+            cells = rng.integers(rows.size, size=3)
+            rows.flat[cells] = rng.choice(SPECIALS, size=3)
+        elif poison == "huge":
+            rows *= 1e306  # the row FFTs overflow
+        coeffs = EwtCoefficients(rows=rows, support_indices=b.support_indices)
+        got = (inverse(coeffs, b).tobytes(), inverse_tight(coeffs, b, 0.75).tobytes())
+        assert forward_bytes == dense_forward(x, b).tobytes()
+        assert got == (dense_inverse(coeffs, b).tobytes(), dense_inverse(coeffs, b, 0.75).tobytes())
+
     with np.errstate(all="ignore"):
-        # whole-row bands, and duals with some or about half the bins singular
-        banks = [bank, replace(bank)]
-        for epsilon in (1e-12, float(np.median(sum_squares(bank)))):
-            if epsilon > 0.0:
-                banks += [dual_bank(b, epsilon, allow_singular=True) for b in banks[:2]]
-        for b in banks:
-            rows = forward(x, b).rows
-            assert rows.tobytes() == dense_forward(x, b).tobytes()
-            rows = rows.copy()
-            if poison == "coefficients":
-                cells = rng.integers(rows.size, size=3)
-                rows.flat[cells] = rng.choice(SPECIALS, size=3)
-            elif poison == "huge":
-                rows *= 1e306  # the row FFTs overflow
-            coeffs = EwtCoefficients(rows=rows, support_indices=b.support_indices)
-            assert inverse(coeffs, b).tobytes() == dense_inverse(coeffs, b).tobytes()
-            assert inverse_tight(coeffs, b, 0.75).tobytes() == dense_inverse(coeffs, b, 0.75).tobytes()
+        # duals with some or about half the bins singular
+        epsilons = [e for e in (1e-12, float(np.median(sum_squares(bank)))) if e > 0.0]
+        # the banded bank and its duals, whose spectra are read only after
+        # the library ran on them, then whole-row bands
+        for b in (bank, *[dual_bank(bank, e, allow_singular=True) for e in epsilons]):
+            check(b)
+        whole = replace(bank)
+        for b in (whole, *[dual_bank(whole, e, allow_singular=True) for e in epsilons]):
+            check(b)
 
 
 @st.composite
@@ -430,16 +505,16 @@ def banded_banks(draw):
         spectra=spectra,
         support_indices=partition.support_indices,
     )
-    _set_bands(bank, bands)
-    return bank
+    return with_bands(bank, bands)
 
 
 @settings(max_examples=80, deadline=None)
 @given(banded_banks())
 def test_band_norms_are_numpys_trapezoid(bank):
+    norms = filter_norms(bank)
     # against np.trapezoid itself: a numpy that sums differently fails here
     dense = np.abs(bank.spectra[:, bank.grid.order]) ** 2
-    for norm, line in zip(filter_norms(bank), dense):
+    for norm, line in zip(norms, dense):
         assert norm.hex() == float(np.trapezoid(line, dx=bank.grid.spacing)).hex()
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,9 @@ from cews import (
     translate,
 )
 from cews.errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from cews.families import _set_bands
 
 from oracle_utils import dft_direct, idft_direct, rel_l2
-from conftest import INF, report_bytes, warns_overflow
+from conftest import INF, report_bytes, warns_overflow, with_bands
 
 
 def random_signal(n, seed=0):
@@ -133,10 +130,16 @@ class TestDualBank:
             support_indices=partition.support_indices,
         )
         # no sampled family reaches a subnormal S, so narrow the bands by hand
-        # the way sample_bank does
-        band = replace(dense)
-        _set_bands(band, ((0, 4), (4, 8), (0, 0)))
+        # and store them the way sample_bank does
+        band = with_bands(dense, ((0, 4), (4, 8), (0, 0)))
         band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
+        # |1e160|^2 overflows: the dual of the dual, and its report, do too;
+        # both are taken before the band dual's spectra are read
+        with warns_overflow(True):
+            twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
+        with warns_overflow(True):
+            reports = [report_bytes(frame_report(d)) for d in (band_dual, dense_dual)]
+        assert reports[0] == reports[1]
         assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
         assert band_dual.bands == band.bands
         s = np.sum(np.abs(spectra) ** 2, axis=0)
@@ -144,13 +147,7 @@ class TestDualBank:
         assert 0.0 < s[low[0]] < np.finfo(float).tiny
         np.testing.assert_allclose(dense_dual.spectra[0, low], 1e-160 / s[low], rtol=1e-15)
         assert np.isfinite(dense_dual.spectra).all()
-        # |1e160|^2 overflows: the dual of the dual, and its report, do too
-        with warns_overflow(True):
-            twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
-        with warns_overflow(True):
-            reports = [report_bytes(frame_report(d)) for d in (band_dual, dense_dual)]
-        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize(
         "low, overflows",
@@ -177,20 +174,19 @@ class TestDualBank:
             support_indices=partition.support_indices,
         )
         bands = ((0, 4), (4, 8), (4, 4))
-        band = replace(dense)
-        _set_bands(band, bands)
+        band = with_bands(dense, bands)
         s_min = np.sum(np.abs(spectra) ** 2, axis=0).min()
         assert (s_min >= np.finfo(float).tiny) == (low == 2.0**-511)
         band_dual, dense_dual = (dual_bank(b, epsilon=5e-324) for b in (band, dense))
-        assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
-        assert band_dual.bands == bands
-        assert np.isfinite(band_dual.spectra).all()
         with warns_overflow(overflows):
             twice, dense_twice = (dual_bank(d, epsilon=5e-324) for d in (band_dual, dense_dual))
-        assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
         with warns_overflow(overflows):
             reports = [report_bytes(frame_report(d)) for d in (band_dual, dense_dual)]
         assert reports[0] == reports[1]
+        assert band_dual.spectra.tobytes() == dense_dual.spectra.tobytes()
+        assert band_dual.bands == bands
+        assert np.isfinite(band_dual.spectra).all()
+        assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)

@@ -99,21 +99,23 @@ def bank_parts(seed):
         bank = sample_bank(partition, make_params(partition, variant, rng), grid)
     except Exception as exc:  # the error itself is the recorded outcome
         return {"sample": type(exc).__name__.encode()}, "error"
+    # every part is computed before any spectra are read, so that each one
+    # comes from band storage, not from the dense view built on that read
     dual = dual_bank(bank, epsilon, allow_singular=True)
     twice = dual_bank(dual, epsilon, allow_singular=True)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     coeffs = forward(x, bank)
     report = frame_report(bank, epsilon)
     parts = {
-        "sample": bank.spectra.tobytes(),
-        "dual": dual.spectra.tobytes() + repr(dual.singular_bins).encode(),
-        "dual2": twice.spectra.tobytes() + repr(twice.singular_bins).encode(),
         "report": report_fields(report) + report_fields(frame_report(dual, epsilon)),
         "forward": coeffs.rows.tobytes(),
         "inverse": inverse(coeffs, dual).tobytes(),
         "tight": inverse_tight(coeffs, bank, 1.0).tobytes(),
         "fwd_dual": forward(x, dual).rows.tobytes(),
     }
+    parts["sample"] = bank.spectra.tobytes()
+    parts["dual"] = dual.spectra.tobytes() + repr(dual.singular_bins).encode()
+    parts["dual2"] = twice.spectra.tobytes() + repr(twice.singular_bins).encode()
     s = report.sum_squares
     if ((s >= epsilon) & (s < np.finfo(float).tiny)).any():
         return parts, "subnormal"
