@@ -79,21 +79,11 @@ class _Bands(NamedTuple):
 
 
 class _Quotients(NamedTuple):
-    """The rows of a dual bank: those of ``bank`` divided by ``denom``, the
-    squared filter sum with +inf at its singular bins."""
+    """The rows of a dual bank, as ``FilterBank._layout`` reads them: those
+    of ``bank`` divided by ``denom``, S with +inf at its singular bins."""
 
     bank: "FilterBank"
     denom: np.ndarray
-
-    def layout(self):
-        """The dual's ``FilterBank._layout``, each value divided as it is
-        read; a row's zero is its quotient at the first out-of-band bin."""
-        denom = self.denom
-        for band, values, outside, zero in self.bank._layout():
-            values = tuple(_divide(part, denom[sl]) for sl, part in zip(band, values))
-            if zero is not None:
-                zero = _divide(zero, denom[outside[0]][:1])
-            yield band, values, outside, zero
 
 
 def _divide(values, denom) -> np.ndarray:
@@ -117,7 +107,7 @@ class _Spectra:
 
     def __get__(self, bank, owner=None):
         if bank is None:
-            raise AttributeError("spectra")  # a field without a default
+            return self
         storage = bank._storage
         return storage if isinstance(storage, np.ndarray) else bank._view()
 
@@ -159,33 +149,34 @@ class FilterBank:
     partition: Partition
     params: FamilyParams
     grid: FrequencyGrid
-    spectra: np.ndarray = _Spectra()
+    spectra: np.ndarray = field(repr=False)  # a _Spectra, set below
     support_indices: tuple
     singular_bins: tuple = ()
     bands: tuple = field(init=False, repr=False)
 
     def _layout(self):
-        """For each row in order: (band, values, outside, zero).
-
-        ``band`` and ``outside`` are the natural-order slices of the row's
-        band and of the rest of the row, each in ascending-xi order;
-        ``values`` holds the row on each slice of ``band``, and ``zero``, a
-        1-element array, the one value it takes on ``outside``, or is None
-        if the band is the whole row.
+        """For each row in order: (band, values, zero), the natural-order
+        slices of its band in ascending-xi order, its values on each, and the
+        one value it takes on every other bin, a 1-element array, or None if
+        the band is the whole row. A dual's zero is the bank's divided by S
+        at bin 0: a signed zero over any positive S is one signed zero.
         """
         grid, n, storage = self.grid, self.grid.n_samples, self._storage
         if isinstance(storage, _Quotients):
-            yield from storage.layout()
+            bank, denom = storage
+            for band, values, zero in bank._layout():
+                values = tuple(_divide(part, denom[sl]) for sl, part in zip(band, values))
+                yield band, values, None if zero is None else _divide(zero, denom[:1])
             return
         for i, (lo, hi) in enumerate(self.bands):
-            band, outside = grid.run_slices(lo, hi), grid.run_slices(hi, lo + n)
+            band = grid.run_slices(lo, hi)
             if isinstance(storage, np.ndarray):
                 row = storage[i]
                 values = tuple(row[sl] for sl in band)
-                zero = row[outside[0]][:1] if outside else None
+                zero = row[grid.run_slices(hi, hi + 1)[0]] if hi - lo < n else None
             else:
                 values, zero = storage[i]
-            yield band, values, outside, zero
+            yield band, values, zero
 
     def _view(self) -> np.ndarray:
         """Build the dense spectra from the bank's storage and store them in
@@ -199,15 +190,19 @@ class FilterBank:
         return spectra
 
 
-def _fill(row, band, values, outside, zero) -> None:
+# set once the dataclass is made: as the field's default, the descriptor
+# would leave ``spectra`` in the repr, which would then build them
+FilterBank.spectra = _Spectra()
+
+
+def _fill(row, band, values, zero) -> None:
     """Write one row of a bank's layout onto ``row``, a row of a fresh
-    ``np.zeros`` array. The zero is written only if one of its bits is set:
-    the +0.0 the row holds already is left untouched, and so are its pages."""
+    ``np.zeros`` array: the zero over the whole row, only if one of its bits
+    is set (the row's +0.0 and its pages are left untouched), then the band."""
+    if zero is not None and zero.view(np.uint8).any():
+        row[...] = zero
     for sl, part in zip(band, values):
         row[sl] = part
-    if zero is not None and zero.view(np.uint8).any():
-        for sl in outside:
-            row[sl] = zero
 
 
 def beta(x):
@@ -573,8 +568,8 @@ def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGr
     bands = [band for _, band in plans]
     rows = []
     for (evaluate, (lo, hi)), (_, pieces) in zip(plans, _band_storage(grid, bands)):
-        outside = grid.run_slices(hi, lo + grid.n_samples)
-        zero = evaluate(grid.xi[outside[0]][:1]) if outside else None
+        first_out = grid.run_slices(hi, hi + 1)[0]
+        zero = evaluate(grid.xi[first_out]) if hi - lo < grid.n_samples else None
         for piece, sl in zip(pieces, grid.run_slices(lo, hi)):
             piece[...] = evaluate(grid.xi[sl])
         rows.append((pieces, zero))

@@ -53,7 +53,7 @@ def sum_squares(bank) -> np.ndarray:
     outside its band it would add an exact 0.
     """
     acc = np.zeros(bank.grid.n_samples)
-    for band, values, _, _ in bank._layout():
+    for band, values, _ in bank._layout():
         for sl, part in zip(band, values):
             acc[sl] += np.abs(part) ** 2
     return acc
@@ -81,7 +81,7 @@ def _norms(bank, acc) -> tuple:
     n_terms = bank.grid.n_samples - 1
     return tuple(
         float(_pairwise_norm(values, bank.grid, band, 0, n_terms, acc))
-        for (_, values, _, _), band in zip(bank._layout(), bank.bands)
+        for (_, values, _), band in zip(bank._layout(), bank.bands)
     )
 
 

@@ -46,7 +46,7 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
     if _shape(bank) == (1, 1):
         # numpy rounds a one-element product taken in place differently from
         # its vector loop, so one cell keeps the whole-array formula's bits
-        _, values, _, zero = next(bank._layout())
+        _, values, zero = next(bank._layout())
         rows = np.conj(values[0] if values else zero)[None]
         np.multiply(spectrum[None, :], rows, out=rows)
     else:
@@ -66,18 +66,17 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
 
     The spectrum stays the left operand, since complex multiplication in
     numpy is not bit-commutative. Outside its band a row's products are
-    signed zeros whose signs follow the spectrum, so they are computed too,
-    against the row's zero as a 1-element array, so that numpy runs the same
-    multiply loop as on the whole row.
+    signed zeros whose signs follow the spectrum, so they are computed too:
+    over the whole row first, against the row's zero as a 1-element array,
+    so that numpy runs the same multiply loop as on the whole row, then the
+    band's products over them.
     """
     rows = np.empty(_shape(bank), dtype=complex)
-    for out, (band, values, outside, zero) in zip(rows, bank._layout()):
+    for out, (band, values, zero) in zip(rows, bank._layout()):
+        if zero is not None:
+            np.multiply(spectrum, np.conj(zero), out=out)
         for sl, part in zip(band, values):
             np.multiply(spectrum[sl], np.conj(part), out=out[sl])
-        if zero is not None:
-            zero = np.conj(zero)
-            for sl in outside:
-                np.multiply(spectrum[sl], zero, out=out[sl])
     return rows
 
 
@@ -93,8 +92,8 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     floats: its band values are the bank's, not a copy of them, divided by S
     whenever they are read. Each filter is divided on its band; a signed
     zero over any positive divisor, infinity included, is one and the same
-    signed zero, so the row's zero is the quotient at its first out-of-band
-    bin. Its ``spectra`` are built, once, on first read.
+    signed zero, so the row's zero is its quotient by S at bin 0. Its
+    ``spectra`` are built, once, on first read.
     """
     epsilon = check_epsilon(epsilon)
     denom = sum_squares(bank)
@@ -139,7 +138,7 @@ def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
         # times the row's out-of-band signed zero would leave it unchanged.
         # No product is taken in place: numpy's in-place multiply of one
         # element need not round as its vector loop does
-        band, values, _, _ = layout
+        band, values, _ = layout
         for sl, part in zip(band, values):
             acc[sl] += buffer[sl] * part
     return acc

@@ -87,8 +87,7 @@ def with_bands(bank, bands):
     grid, n = bank.grid, bank.grid.n_samples
     rows = []
     for row, (lo, hi) in zip(bank.spectra, bands):
-        outside = grid.run_slices(hi, lo + n)
-        zero = row[outside[0]][:1].copy() if outside else None
+        zero = row[grid.run_slices(hi, hi + 1)[0]].copy() if hi - lo < n else None
         rows.append((tuple(row[sl].copy() for sl in grid.run_slices(lo, hi)), zero))
     return replace(bank, spectra=_Bands(tuple(bands), tuple(rows)))
 

@@ -207,22 +207,25 @@ def test_band_path_is_bit_identical(case, family):
 
 
 def layout_rule_holds(bank):
-    """Each row is what ``bank._layout()`` says it is: band and rest cover
-    every bin once in ascending xi, the band values are the row on the band,
-    and the zero is the value of every bin of the rest, singular or not;
-    every singular bin holds a zero in every row. The layout is taken from
-    band storage, and read again once ``spectra`` are built: then it is
-    views of them."""
+    """Each row is what ``bank._layout()`` says it is: the band's slices
+    hold the bins of ``bank.bands`` in ascending xi, band and rest of the row
+    cover every bin once, the band values are the row on the band, and the
+    zero is the value of every bin of the rest, singular or not; every
+    singular bin holds a zero in every row. The layout is taken from band
+    storage, and read again once ``spectra`` are built: then it is views of
+    them."""
     grid = bank.grid
     rows = list(bank._layout())
     spectra = bank.spectra
     assert len(rows) == len(spectra) and not spectra.flags.writeable
-    for row, (lo, hi), (band, values, outside, zero) in zip(spectra, bank.bands, rows):
-        assert len(band) == len(values) <= 2 and len(outside) <= 2
-        band_bins = [b for sl in band for b in range(sl.start, sl.stop)]
-        out_bins = [b for sl in outside for b in range(sl.start, sl.stop)]
-        assert band_bins + out_bins == np.roll(grid.order, -lo).tolist()
-        assert len(band_bins) == hi - lo
+    for row, (lo, hi), (band, values, zero) in zip(spectra, bank.bands, rows):
+        assert len(band) == len(values) <= 2
+        assert 0 <= hi - lo <= grid.n_samples
+        # every bin once, in ascending xi from sorted position lo
+        ring = np.roll(grid.order, -lo).tolist()
+        assert sorted(ring) == list(range(grid.n_samples))
+        out_bins = ring[hi - lo :]
+        assert [b for sl in band for b in range(sl.start, sl.stop)] == ring[: hi - lo]
         for sl, part in zip(band, values):
             assert part.tobytes() == row[sl].tobytes()
         assert (zero is None) == (not out_bins)
@@ -230,7 +233,7 @@ def layout_rule_holds(bank):
             assert zero.shape == (1,) and zero[0] == 0.0
             assert row[out_bins].tobytes() == zero.tobytes() * len(out_bins)
     assert (spectra[:, list(bank.singular_bins)] == 0.0).all()
-    for band, values, outside, zero in bank._layout():
+    for _, values, zero in bank._layout():
         assert all(np.shares_memory(part, spectra) for part in values)
         assert zero is None or np.shares_memory(zero, spectra)
 
@@ -417,6 +420,20 @@ SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(-
     family="meyer",
     seed=0,
     poison="finite",
+)
+# the same bank, whose zeros have bits set, on non-finite spectra: forward
+# multiplies whole rows by the zero, and inverse's fallback fills whole rows
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+    seed=0,
+    poison="signal",
+)
+@example(
+    case=(build_partition("V", [-INF, -1.0, 0.0, 1.0, 1.5, INF]), FrequencyGrid(128)),
+    family="meyer",
+    seed=0,
+    poison="coefficients",
 )
 # Shannon bands one bin wide
 @example(

@@ -61,6 +61,23 @@ def test_library_calls_build_no_dense_array():
     for b in (bank, dual):
         spectra = b.spectra
         assert spectra.shape == (K, N) and holds_dense(b)
-        for band, values, outside, zero in b._layout():
+        for _, values, zero in b._layout():
             assert all(np.shares_memory(part, spectra) for part in values)
             assert zero is None or np.shares_memory(zero, spectra)
+
+
+def test_repr_leaves_the_storage_alone():
+    bank = vstar_lp_bank()
+    dual = dual_bank(bank)
+    for b in (bank, dual):
+        tracemalloc.start()
+        try:
+            text = repr(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not holds_dense(b)
+        assert peak < DENSE_BYTES / 4
+        for name in ("partition", "params", "grid", "support_indices", "singular_bins"):
+            assert f"{name}={getattr(b, name)!r}" in text
+        assert "spectra" not in text

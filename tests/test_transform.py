@@ -15,6 +15,7 @@ from cews import (
     translate,
 )
 from cews.errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
+from cews.families import _divide
 
 from oracle_utils import dft_direct, idft_direct, rel_l2
 from conftest import INF, report_bytes, warns_overflow, with_bands
@@ -187,6 +188,13 @@ class TestDualBank:
         assert band_dual.bands == bands
         assert np.isfinite(band_dual.spectra).all()
         assert twice.spectra.tobytes() == dense_twice.spectra.tobytes()
+
+    @pytest.mark.parametrize("real, imag", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_a_signed_zero_over_any_positive_s_is_one_value(self, real, imag):
+        # a dual divides each row's zero by S at bin 0, whatever S is there
+        zero = np.array([real, imag]).view(complex)
+        divisors = (5e-324, 1e-310, np.finfo(float).tiny, 1.0, 1e300, np.inf)
+        assert len({_divide(zero, np.array([s])).tobytes() for s in divisors}) == 1
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
