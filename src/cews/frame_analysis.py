@@ -61,7 +61,7 @@ def sum_squares(bank) -> np.ndarray:
 
 def empirical_bounds(bank) -> tuple:
     """(min, max) of the squared filter sum over the grid bins."""
-    s = sum_squares(bank)
+    s = _energy(bank)[0]
     return float(s.min()), float(s.max())
 
 
@@ -72,12 +72,29 @@ def filter_norms(bank) -> tuple:
     ascending xi, to the bit, but built from the filter's band alone: see
     :func:`_pairwise_norm`.
     """
-    return _norms(bank, None)
+    return _energy(bank)[1]
+
+
+def _energy(bank) -> tuple:
+    """(S, norms): the bank's squared filter sum, read-only, and its
+    :func:`filter_norms`, from one :func:`_norms` walk that is kept on the
+    bank for every later reader. Only a finite S with finite norms is kept,
+    so one that overflowed is walked, and warns, again on each read."""
+    energy = getattr(bank, "_energy", None)
+    if energy is None:
+        s = np.zeros(bank.grid.n_samples)
+        norms = _norms(bank, s)
+        s.setflags(write=False)
+        energy = s, norms
+        if np.isfinite(s.max()) and np.isfinite(norms).all():
+            object.__setattr__(bank, "_energy", energy)
+    return energy
 
 
 def _norms(bank, acc) -> tuple:
-    """:func:`filter_norms`; adds each filter's |psi|^2 into ``acc`` too,
-    filter by filter as :func:`sum_squares` does, unless it is None."""
+    """:func:`filter_norms`, and each filter's |psi|^2 added into ``acc``,
+    filter by filter as :func:`sum_squares` does, so that ``acc`` ends as S
+    to the bit: each band cell's |psi|^2 is computed once for both."""
     n_terms = bank.grid.n_samples - 1
     return tuple(
         float(_pairwise_norm(values, bank.grid, band, 0, n_terms, acc))
@@ -105,9 +122,9 @@ def _pairwise_norm(values, grid, band, start, count, acc):
     other node adds its two halves, as numpy does. Temporaries therefore
     hold at most _DIRECT_TERMS + 1 values, whatever the grid size.
 
-    Unless ``acc`` is None, a summed node also adds the |row|^2 of positions
-    start, ..., start + count - 1 into it, and the last node the last
-    position's too, so every band position is added once.
+    A summed node also adds the |row|^2 of positions start, ...,
+    start + count - 1 into ``acc``, and the last node the last position's
+    too, so every band position is added once.
     """
     lo, hi = band
     if start >= hi or start + count < lo:
@@ -120,11 +137,10 @@ def _pairwise_norm(values, grid, band, start, count, acc):
             if a < b:
                 y[a - start : b - start] = np.abs(part[a - pos : b - pos]) ** 2
             pos += part.size
-        if acc is not None:
-            last = start + count + (start + count == grid.n_samples - 1)
-            for sl in grid.run_slices(first, min(last, hi)):
-                acc[sl] += y[first - start : first - start + sl.stop - sl.start]
-                first += sl.stop - sl.start
+        last = start + count + (start + count == grid.n_samples - 1)
+        for sl in grid.run_slices(first, min(last, hi)):
+            acc[sl] += y[first - start : first - start + sl.stop - sl.start]
+            first += sl.stop - sl.start
         return np.add.reduce(grid.spacing * (y[1:] + y[:-1]) / 2.0)
     half = count // 2 - count // 2 % 8
     return _pairwise_norm(values, grid, band, start, half, acc) + _pairwise_norm(
@@ -170,11 +186,11 @@ def analytic_bounds(params: FamilyParams, partition: Partition) -> tuple:
 
 
 def frame_report(bank, epsilon: float = DEFAULT_EPSILON) -> FrameReport:
-    """Assemble the full diagnostic report for a sampled bank."""
+    """Assemble the full diagnostic report for a sampled bank. S and the
+    norms come from the bank's one walk (:func:`_energy`), shared with
+    ``dual_bank``, so the report's ``sum_squares`` is read-only."""
     epsilon = check_epsilon(epsilon)
-    # one walk yields the norms and S: each cell's |psi|^2 is computed once
-    s = np.zeros(bank.grid.n_samples)
-    norms = _norms(bank, s)
+    s, norms = _energy(bank)
     a_ana, b_ana = analytic_bounds(bank.params, bank.partition)
     return FrameReport(
         sum_squares=s,

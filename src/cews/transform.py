@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
 from .families import FilterBank, _Bands, _Quotients, _fill
-from .frame_analysis import DEFAULT_EPSILON, check_epsilon, sum_squares
+from .frame_analysis import DEFAULT_EPSILON, _energy, check_epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +94,21 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
     zero over any positive divisor, infinity included, is one and the same
     signed zero, so the row's zero is its quotient by S at bin 0. Its
     ``spectra`` are built, once, on first read.
+
+    S is the bank's, from the walk ``frame_report`` shares; where bins are
+    singular a copy of it takes the infinities, so the bank's S never does.
     """
     epsilon = check_epsilon(epsilon)
-    denom = sum_squares(bank)
+    denom = _energy(bank)[0]
     bins = np.flatnonzero(denom < epsilon)
     if bins.size and not allow_singular:
         raise SingularFrame(
             f"squared filter sum below {epsilon} at {bins.size} bins", bins=bins
         )
-    denom[bins] = np.inf
-    denom.setflags(write=False)
+    if bins.size:
+        denom = denom.copy()
+        denom[bins] = np.inf
+        denom.setflags(write=False)
     return replace(
         bank,
         spectra=_Bands(bank.bands, _Quotients(bank, denom)),

@@ -5,6 +5,7 @@ the zero boundary in V mode) and grids of odd and even size.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dataclasses import replace
@@ -26,6 +27,7 @@ from cews import (
     sample_bank,
     sum_squares,
 )
+from cews import frame_analysis
 from conftest import INF, evaluate, holds_dense, report_bytes, warns_overflow, with_bands
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -542,3 +544,80 @@ def test_report_adds_each_band_cell_to_s_once(bank):
     report = frame_report(bank)
     assert report.sum_squares.tobytes() == sum_squares(bank).tobytes()
     assert report.per_filter_norm == filter_norms(bank)
+
+
+def energy_readers(bank, epsilon, dual_first):
+    """dual_bank and frame_report of ``bank``, in either order, then
+    filter_norms and empirical_bounds: each reads the bank's S or norms."""
+    if dual_first:
+        dual = dual_bank(bank, epsilon, allow_singular=True)
+        report = frame_report(bank, epsilon)
+    else:
+        report = frame_report(bank, epsilon)
+        dual = dual_bank(bank, epsilon, allow_singular=True)
+    return dual, report, filter_norms(bank), empirical_bounds(bank)
+
+
+def energy_bytes(dual, report, norms, bounds):
+    return (
+        dual.spectra.tobytes(),
+        dual.singular_bins,
+        report_bytes(report),
+        repr(norms),
+        repr(bounds),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitions_on_grid(), ALL_FAMILIES, st.booleans())
+# the median of S is 8.4e-320: the dual of the dual's squared sum overflows
+@example(
+    case=(build_partition("Vstar", [-0.2734375, 0.0546875, INF]), FrequencyGrid(23)),
+    family="gabor-local",
+    dual_first=True,
+)
+def test_one_energy_walk_serves_every_reader(case, family, dual_first):
+    partition, grid = case
+    params = make_params(partition, family)
+    if family == "meyer":
+        assume(partition.has_left_ray and partition.has_right_ray)
+        assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    # a guard that makes about half the bins singular
+    epsilon = float(np.median(sum_squares(sample_bank(partition, params, grid)))) or 1e-12
+
+    def fresh(level):
+        """The bank (0), its dual (1) or the dual of the dual (2), built anew."""
+        bank = sample_bank(partition, params, grid)
+        for _ in range(level):
+            bank = dual_bank(bank, epsilon, allow_singular=True)
+        return bank
+
+    walked = []
+    walk = frame_analysis._norms
+
+    def counting_walk(bank, acc):
+        walked.append(bank)
+        return walk(bank, acc)
+
+    # the dual of the dual's squared sum may overflow where S is tiny
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frame_analysis, "_norms", counting_walk)
+        for level in range(3):
+            bank = fresh(level)
+            walked.clear()
+            dual, report, norms, bounds = energy_readers(bank, epsilon, dual_first)
+            s = sum_squares(bank)
+            finite = bool(np.isfinite(s).all() and np.isfinite(norms).all())
+            # one walk, kept on the bank; an S or norm that is not finite is
+            # not kept, so each of the four readers walks again
+            assert walked == [bank] * (1 if finite else 4)
+            assert hasattr(bank, "_energy") == finite
+            assert not report.sum_squares.flags.writeable
+            assert report.sum_squares.tobytes() == s.tobytes()
+            # the dual's infinities are its own: the bank's S holds none
+            bins = list(dual.singular_bins)
+            assert (report.sum_squares[bins] < epsilon).all()
+            assert bounds == (float(s.min()), float(s.max()))
+            # the same readers on a fresh bank, the other reader first
+            other = energy_readers(fresh(level), epsilon, not dual_first)
+            assert energy_bytes(dual, report, norms, bounds) == energy_bytes(*other)
