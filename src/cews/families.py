@@ -102,23 +102,20 @@ def _divide(values, denom) -> np.ndarray:
 
 class _Spectra:
     """``FilterBank.spectra``: the dense view of the bank, built from its
-    band storage on first read (see :class:`FilterBank`). The constructor
-    sets it to a dense array, or to a :class:`_Bands`."""
+    band storage on first read and cached (see :class:`FilterBank`). The
+    constructor sets it to a :class:`_Bands`, or to a dense array to cache."""
 
     def __get__(self, bank, owner=None):
-        if bank is None:
-            return self
-        storage = bank._storage
-        return storage if isinstance(storage, np.ndarray) else bank._view()
+        return self if bank is None else bank._view()
 
     def __set__(self, bank, spectra):
         if isinstance(spectra, _Bands):
-            bands, storage = spectra
+            object.__setattr__(bank, "bands", tuple(spectra.bands))
+            object.__setattr__(bank, "_storage", spectra.rows)
         else:
-            storage = np.asarray(spectra)
-            bands = ((0, bank.grid.n_samples),) * len(storage)
-        object.__setattr__(bank, "bands", tuple(bands))
-        object.__setattr__(bank, "_storage", storage)
+            spectra = np.asarray(spectra)
+            object.__setattr__(bank, "bands", ((0, bank.grid.n_samples),) * len(spectra))
+            bank._cache(spectra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +132,13 @@ class FilterBank:
     run in natural bin order. Outside its band, row i holds one constant
     signed zero.
 
-    A bank from :func:`sample_bank` stores only each row's band values and
-    its zero; a dual from ``dual_bank`` stores only S and the bank, whose
-    values it divides by S as they are read. Every library function reads a
-    bank through :meth:`_layout`, so none builds the dense ``spectra``: they
-    are built on first read, read-only, and become the storage, which
-    ``_layout`` then reads instead, so the bank never holds both. A bank
+    Band rows are the storage: each row's band values and its zero, or, on a
+    dual from ``dual_bank``, S and the bank, whose values it divides by S as
+    they are read. Every library function reads a bank through
+    :meth:`_layout`, so none builds the dense ``spectra``. They are a cache
+    that the rows point into once built, on first read, and read-only. A bank
     built with a dense ``spectra``, by hand or by ``dataclasses.replace``,
-    stores that array and has whole-row bands. ``bands`` is not a
+    has whole-row bands whose rows view that array. ``bands`` is not a
     constructor argument.
     """
 
@@ -161,33 +157,43 @@ class FilterBank:
         the band is the whole row. A dual's zero is the bank's divided by S
         at bin 0: a signed zero over any positive S is one signed zero.
         """
-        grid, n, storage = self.grid, self.grid.n_samples, self._storage
+        storage = self._storage
         if isinstance(storage, _Quotients):
             bank, denom = storage
             for band, values, zero in bank._layout():
                 values = tuple(_divide(part, denom[sl]) for sl, part in zip(band, values))
                 yield band, values, None if zero is None else _divide(zero, denom[:1])
             return
-        for i, (lo, hi) in enumerate(self.bands):
-            band = grid.run_slices(lo, hi)
-            if isinstance(storage, np.ndarray):
-                row = storage[i]
-                values = tuple(row[sl] for sl in band)
-                zero = row[grid.run_slices(hi, hi + 1)[0]] if hi - lo < n else None
-            else:
-                values, zero = storage[i]
-            yield band, values, zero
+        for (lo, hi), (values, zero) in zip(self.bands, storage):
+            yield self.grid.run_slices(lo, hi), values, zero
 
     def _view(self) -> np.ndarray:
-        """Build the dense spectra from the bank's storage and store them in
-        its place, in one assignment, so that a concurrent reader sees one
-        storage or the other, each with the same values."""
-        spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
-        for row, layout in zip(spectra, self._layout()):
-            _fill(row, *layout)
-        spectra.setflags(write=False)
-        object.__setattr__(self, "_storage", spectra)
+        """The dense spectra: on first read, built from the band storage,
+        made read-only and cached, and the band rows pointed at views of it,
+        so that the bank holds its values once."""
+        spectra = getattr(self, "_spectra", None)
+        if spectra is None:
+            spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
+            for row, layout in zip(spectra, self._layout()):
+                _fill(row, *layout)
+            spectra.setflags(write=False)
+            self._cache(spectra)
         return spectra
+
+    def _cache(self, spectra) -> None:
+        """Keep the dense ``spectra`` and point the band rows at views of
+        them: each row's values on its band, and its first bin after the
+        band as its zero, None if the band is the whole row."""
+        grid = self.grid
+        rows = tuple(
+            (
+                tuple(row[sl] for sl in grid.run_slices(lo, hi)),
+                None if hi - lo == grid.n_samples else row[grid.run_slices(hi, hi + 1)[0]],
+            )
+            for row, (lo, hi) in zip(spectra, self.bands)
+        )
+        object.__setattr__(self, "_spectra", spectra)
+        object.__setattr__(self, "_storage", rows)
 
 
 # set once the dataclass is made: as the field's default, the descriptor

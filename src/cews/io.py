@@ -217,8 +217,9 @@ def realize_bank(config: JobConfig) -> FilterBank:
 
 
 def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
-    """Read a signal CSV with header 're' or 're,im'."""
-    lines = _read_text(path).splitlines()
+    """Read a signal CSV with header 're' or 're,im'. Lines end only at a
+    line feed (``str.splitlines`` would also end one at a form feed or NEL)."""
+    lines = _read_text(path).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

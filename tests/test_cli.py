@@ -339,6 +339,23 @@ class TestErrorPaths:
         assert payload["error"] == "InputFormatError"
         assert "line 42" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_break_inside_a_cell_exits_2(self, capsys, config_path, tmp_path, separator):
+        # str.splitlines ends a line at each of these, which would read the
+        # cell "4<separator>5" as the two samples 4 and 5, and 64 in all
+        sig = tmp_path / "signal.csv"
+        text = "re\n" + "1.0\n" * 40 + f"4{separator}5\n" + "1.0\n" * 22
+        sig.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "roundtrip", "--config", config_path(n_samples=64), "--signal", str(sig)
+        )
+        assert code == 2
+        payload = error_payload(out, err)
+        assert payload["error"] == "InputFormatError"
+        assert "line 42: " in payload["message"]
+
     def test_non_finite_raw_sample_exits_2(self, capsys, config_path, tmp_path):
         x = np.ones(64)
         x[7] = np.nan

@@ -152,6 +152,14 @@ class TestSignalCsv:
         with pytest.raises(InputFormatError, match="line 3"):
             read_signal_csv(path)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, tmp_path, newline):
+        path = tmp_path / "signal.csv"
+        z = np.random.default_rng(2).standard_normal((2, 9))
+        lines = ["re,im"] + [f"{re!r},{im!r}" for re, im in z.T.tolist()]
+        path.write_bytes((newline.join(lines) + newline).encode())
+        assert np.array_equal(read_signal_csv(path, n_expected=9), z[0] + 1j * z[1])
+
 
 class TestSignalRaw:
     def test_real_and_complex(self, tmp_path):

@@ -1,17 +1,21 @@
 """Band storage: no library call builds a bank's dense spectra.
 
-A sampled bank holds each filter's band values and one zero per row, and
-its dual the bank and the squared filter sum; ``spectra`` is built on first
-read and then replaces them. Reading it on any library path would bring
-back a dense K×N array per bank.
+Band rows are the storage: a sampled bank holds each filter's band values
+and one zero per row, and its dual the bank and the squared filter sum.
+``spectra`` is a cache that the rows point into once built, on first read.
+Reading it on any library path would bring back a dense K×N array per bank.
 """
 
+import gc
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 
 from cews import (
     FamilyParams,
+    FilterBank,
     FrequencyGrid,
     build_partition,
     dual_bank,
@@ -24,6 +28,7 @@ from cews import (
     sum_squares,
 )
 
+from cews.families import _Quotients
 from conftest import INF, holds_dense
 
 N = 2**16
@@ -31,12 +36,54 @@ K = 33
 DENSE_BYTES = K * N * 16  # one dense bank, 34.6 MB
 
 
-def vstar_lp_bank():
-    """A Littlewood-Paley bank of K supports on a Vstar partition, at N bins."""
+def vstar_lp_bank(n=N):
+    """A Littlewood-Paley bank of K supports on a Vstar partition, at n bins."""
     finite = np.geomspace(0.01, 3.0, (K - 1) // 2)
     partition = build_partition("Vstar", [-INF, *(-finite[::-1]), *finite, INF])
     params = FamilyParams("littlewood-paley", gamma=0.9 * min(partition.max_gamma(), 0.5))
-    return sample_bank(partition, params, FrequencyGrid(N))
+    return sample_bank(partition, params, FrequencyGrid(n))
+
+
+def holds_band_rows(bank):
+    """Whether the bank stores, for each band, its values on the band's
+    slices and its zero (a 1-element array, None for a whole-row band)."""
+    rows = bank._storage
+    return len(rows) == len(bank.bands) and all(
+        len(values) == len(bank.grid.run_slices(lo, hi))
+        and all(isinstance(part, np.ndarray) and part.ndim == 1 for part in values)
+        and (zero is None if hi - lo == bank.grid.n_samples else zero.shape == (1,))
+        for (values, zero), (lo, hi) in zip(rows, bank.bands)
+    )
+
+
+def test_band_rows_are_the_only_storage():
+    n = 512
+    bank = vstar_lp_bank(n)
+    dual = dual_bank(bank)
+    dense = np.ones((K, n), dtype=complex)
+    by_hand = FilterBank(
+        partition=bank.partition,
+        params=bank.params,
+        grid=bank.grid,
+        spectra=dense,
+        support_indices=bank.support_indices,
+    )
+    replaced = replace(bank, spectra=dense)
+    assert holds_band_rows(bank) and isinstance(dual._storage, _Quotients)
+    for b in (by_hand, replaced):
+        assert holds_band_rows(b) and b.spectra is dense
+        for row, (_, values, zero) in zip(dense, b._layout()):
+            assert zero is None and all(np.shares_memory(part, row) for part in values)
+    # the band values are one array, which the first read of spectra frees
+    band_values = weakref.ref(bank._storage[0][0][0].base)
+    for b in (bank, dual):
+        spectra = b.spectra
+        assert holds_band_rows(b) and b.spectra is spectra
+        for _, values, zero in b._layout():
+            assert all(np.shares_memory(part, spectra) for part in values)
+            assert zero is None or np.shares_memory(zero, spectra)
+    gc.collect()
+    assert band_values() is None
 
 
 def test_library_calls_build_no_dense_array():

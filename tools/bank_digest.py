@@ -100,7 +100,8 @@ def bank_parts(seed):
     except Exception as exc:  # the error itself is the recorded outcome
         return {"sample": type(exc).__name__.encode()}, "error"
     # every part is computed before any spectra are read, so that each one
-    # comes from band storage, not from the dense view built on that read
+    # comes from the band rows as sampled and divided, not from the views of
+    # the cached spectra that those rows become on that read
     dual = dual_bank(bank, epsilon, allow_singular=True)
     twice = dual_bank(dual, epsilon, allow_singular=True)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
