@@ -32,6 +32,7 @@ COEF_MAGIC = b"EWTC"
 COEF_VERSION = 1
 MAX_N_SAMPLES = 2**32 - 1  # the EWTC header stores N as u32
 DEFAULT_GAMMA_FRACTION = 0.9  # CLI default gamma = fraction * max_gamma
+_CSV_BLOCK_ROWS = 8192  # rows formatted per write, bounding the text held at once
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,12 @@ def _require(obj, key, kind):
     return value
 
 
+def _one_of(key, value, options):
+    if value not in options:
+        raise InputFormatError(f"{key}: must be one of {list(options)}, got {value!r}")
+    return value
+
+
 def parse_config(obj, n_samples_override: int = None) -> JobConfig:
     """Decode a config mapping with field-precise errors."""
     if not isinstance(obj, dict):
@@ -107,9 +114,7 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
         if key not in _CONFIG_FIELDS:
             raise InputFormatError(f"{key}: unknown config field")
 
-    mode = _require(obj, "mode", str)
-    if mode not in MODES:
-        raise InputFormatError(f"mode: must be one of {list(MODES)}, got {mode!r}")
+    mode = _one_of("mode", _require(obj, "mode", str), MODES)
 
     raw = _require(obj, "boundaries", list)
     boundaries = tuple(
@@ -118,9 +123,7 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
     if len(boundaries) < 2:
         raise InputFormatError("boundaries: at least 2 values required")
 
-    family = _require(obj, "family", str)
-    if family not in FAMILIES:
-        raise InputFormatError(f"family: must be one of {list(FAMILIES)}, got {family!r}")
+    family = _one_of("family", _require(obj, "family", str), FAMILIES)
 
     if n_samples_override is not None:
         n_samples = int(n_samples_override)
@@ -129,42 +132,25 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
     if not 1 <= n_samples <= MAX_N_SAMPLES:
         raise InputFormatError(f"n_samples: must lie in [1, {MAX_N_SAMPLES}]")
 
-    gamma = None
+    # absent optional fields take the JobConfig defaults
+    optional = {}
     if "gamma" in obj:
-        gamma = _require(obj, "gamma", float)
+        optional["gamma"] = _require(obj, "gamma", float)
         if family != LITTLEWOOD_PALEY:
             raise InputFormatError("gamma: only valid for the littlewood-paley family")
-
-    gabor_rays = GABOR_RAY_EXTENDED
     if "gabor_rays" in obj:
-        gabor_rays = _require(obj, "gabor_rays", str)
-        if gabor_rays not in GABOR_RAY_OPTIONS:
-            raise InputFormatError(
-                f"gabor_rays: must be one of {list(GABOR_RAY_OPTIONS)}, got {gabor_rays!r}"
-            )
+        rays = _require(obj, "gabor_rays", str)
+        optional["gabor_rays"] = _one_of("gabor_rays", rays, GABOR_RAY_OPTIONS)
         if family != GABOR:
             raise InputFormatError("gabor_rays: only valid for the gabor family")
-
-    epsilon = DEFAULT_EPSILON
     if "epsilon" in obj:
-        epsilon = _require(obj, "epsilon", float)
-        if epsilon <= 0.0:
+        optional["epsilon"] = _require(obj, "epsilon", float)
+        if optional["epsilon"] <= 0.0:
             raise InputFormatError("epsilon: must be > 0")
-
-    allow_singular = _require(obj, "allow_singular", bool) if "allow_singular" in obj else False
-    real_output = _require(obj, "real_output", bool) if "real_output" in obj else False
-
-    return JobConfig(
-        mode=mode,
-        boundaries=boundaries,
-        family=family,
-        n_samples=n_samples,
-        gamma=gamma,
-        gabor_rays=gabor_rays,
-        epsilon=epsilon,
-        allow_singular=allow_singular,
-        real_output=real_output,
-    )
+    for key in ("allow_singular", "real_output"):
+        if key in obj:
+            optional[key] = _require(obj, key, bool)
+    return JobConfig(mode, boundaries, family, n_samples, **optional)
 
 
 def _read_text(path) -> str:
@@ -201,15 +187,14 @@ def realize_bank(config: JobConfig) -> FilterBank:
     so the default leaves headroom below it.
     """
     partition = build_partition(config.mode, config.boundaries)
+    knobs = {}
     if config.family == LITTLEWOOD_PALEY:
-        gamma = config.gamma
-        if gamma is None:
-            gamma = DEFAULT_GAMMA_FRACTION * partition.max_gamma()
-        params = FamilyParams(LITTLEWOOD_PALEY, gamma=gamma)
+        knobs["gamma"] = config.gamma
+        if config.gamma is None:
+            knobs["gamma"] = DEFAULT_GAMMA_FRACTION * partition.max_gamma()
     elif config.family == GABOR:
-        params = FamilyParams(GABOR, gabor_rays=config.gabor_rays)
-    else:
-        params = FamilyParams(config.family)
+        knobs["gabor_rays"] = config.gabor_rays
+    params = FamilyParams(config.family, **knobs)
     return sample_bank(partition, params, FrequencyGrid(config.n_samples))
 
 
@@ -251,10 +236,15 @@ def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
 
 
 def write_csv(path, header, columns) -> None:
-    """One header line, then one line per row of the float columns."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One header line, then one line per row of the float columns, formatted
+    and written ``_CSV_BLOCK_ROWS`` rows at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = min((len(c) for c in columns), default=0)
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = zip(*(c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns))
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
 
 
 def write_signal_csv(path, values, real_only: bool = False) -> None:
@@ -299,13 +289,15 @@ def write_coefficients(path, rows, support_indices) -> None:
     count, n = data.shape
     if len(support_indices) != count:
         raise InputFormatError("one support index per coefficient row required")
-    header = struct.pack("<4sIII", COEF_MAGIC, COEF_VERSION, n, count)
-    idx = np.asarray(support_indices, dtype="<i4").tobytes()
-    Path(path).write_bytes(header + idx + data.tobytes())
+    with open(path, "wb") as out:
+        out.write(struct.pack("<4sIII", COEF_MAGIC, COEF_VERSION, n, count))
+        out.write(np.asarray(support_indices, dtype="<i4").tobytes())
+        out.write(data)  # the array's own buffer, not a bytes copy of it
 
 
 def read_coefficients(path):
-    """Inverse of :func:`write_coefficients`; returns (rows, support_indices)."""
+    """Inverse of :func:`write_coefficients`; returns (rows, support_indices).
+    The rows are a read-only view of the file's bytes on a little-endian host."""
     blob = Path(path).read_bytes()
     if len(blob) < 16:
         raise InputFormatError(f"{path}: truncated coefficient file")
@@ -320,7 +312,7 @@ def read_coefficients(path):
     indices = tuple(int(v) for v in np.frombuffer(blob, dtype="<i4", count=count, offset=16))
     rows = np.frombuffer(
         blob, dtype="<c16", count=n * count, offset=16 + 4 * count
-    ).reshape(count, n).astype(complex)
+    ).reshape(count, n).astype(complex, copy=False)
     bad = np.flatnonzero(~np.isfinite(rows))
     if bad.size:
         row, sample = divmod(int(bad[0]), n)

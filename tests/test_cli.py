@@ -191,6 +191,18 @@ class TestRoundtrip:
         assert set(payload) == {"rel_l2_error", "max_imag"}
         assert payload["rel_l2_error"] <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_samples_whose_squares_overflow(self, capsys, config_path, tmp_path, scale):
+        # the squared norm of such a signal overflows, the signal does not
+        sig = tmp_path / "signal.csv"
+        x = np.random.default_rng(0).standard_normal(64) * scale
+        write_signal_csv(sig, x, real_only=True)
+        code, out, _ = run(
+            capsys, "roundtrip", "--config", config_path(n_samples=64), "--signal", str(sig)
+        )
+        assert code == 0
+        assert json.loads(out)["rel_l2_error"] <= 1e-10
+
     def test_tight_flag(self, capsys, config_path, signal_path):
         sig, _ = signal_path(n=1024)
         config = config_path(n_samples=1024)
@@ -326,6 +338,12 @@ class TestErrorPaths:
         code, _, err = run(capsys, "roundtrip", "--config", config, "--signal", sig)
         assert code == 1
         assert json.loads(err)["error"] == "NotSorted"
+
+    def test_meyer_ray_centered_at_zero_exits_1(self, capsys, config_path):
+        config = config_path(boundaries=["-inf", -0.5, 0.5, "+inf"], family="meyer", n_samples=64)
+        code, out, err = run(capsys, "frame", "--config", config)
+        assert code == 1
+        assert error_payload(out, err)["error"] == "DegenerateCenter"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_csv_sample_exits_2(self, capsys, config_path, tmp_path, token):

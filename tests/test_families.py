@@ -18,6 +18,7 @@ from cews import (
 )
 from cews.errors import (
     BoundaryOutsideGrid,
+    DegenerateCenter,
     GammaOutOfRange,
     MeyerRequiresRays,
     RayWithoutNeighbor,
@@ -132,6 +133,14 @@ class TestMeyer:
         p = build_partition("V", [-1.0, 0.0, 1.0])
         with pytest.raises(MeyerRequiresRays):
             eval_meyer(p, 0, 0.5)
+
+    def test_ray_centered_at_zero_has_no_phase_reference(self):
+        # each ray's only neighbouring center is the middle support's, 0.0
+        p = build_partition("Vstar", [-INF, -0.5, 0.5, INF])
+        with pytest.raises(DegenerateCenter):
+            eval_meyer(p, 1, 2.0)
+        with pytest.raises(DegenerateCenter):
+            sample_bank(p, FamilyParams("meyer"), FrequencyGrid(64))
 
     def test_interior_knot_values(self, grid_partition):
         p = grid_partition
@@ -262,6 +271,10 @@ class TestGabor:
         p = build_partition("V", [-INF, 0.0, INF])
         with pytest.raises(RayWithoutNeighbor):
             eval_gabor(p, "extended", -1, 0.0)
+
+    def test_unknown_ray_option(self, grid_partition):
+        with pytest.raises(ValueError, match="ray_option"):
+            eval_gabor(grid_partition, "sideways", grid_partition.support_indices[0], 0.0)
 
 
 class TestSampleBank:

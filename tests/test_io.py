@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ class TestSignalCsv:
         back = read_signal_csv(path, n_expected=33)
         assert np.array_equal(back, x)
 
+    def test_rows_written_in_blocks_join_seamlessly(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(2 * 8192 + 3) + 1j * rng.standard_normal(2 * 8192 + 3)
+        write_signal_csv(path, x)
+        rows = "".join(f"{v.real!r},{v.imag!r}\n" for v in x.tolist())
+        assert path.read_text() == "re,im\n" + rows
+
     def test_real_only(self, tmp_path):
         path = tmp_path / "signal.csv"
         write_signal_csv(path, np.arange(4, dtype=float), real_only=True)
@@ -202,6 +211,14 @@ class TestCoefficientFile:
         rows, indices = read_coefficients(path)
         assert indices == coeffs.support_indices
         assert np.array_equal(rows, coeffs.rows)
+
+    def test_rows_view_the_file_bytes(self, tmp_path):
+        path = tmp_path / "coef.ewtc"
+        coeffs = self.make_coeffs()
+        write_coefficients(path, coeffs.rows, coeffs.support_indices)
+        rows, _ = read_coefficients(path)
+        # read-only, as no copy is made; a big-endian host must swap bytes
+        assert rows.flags.writeable == (sys.byteorder == "big")
 
     def test_layout_size(self, tmp_path):
         path = tmp_path / "coef.ewtc"

@@ -83,6 +83,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_partition("W", [-1.0, 0.0, 1.0])
 
+    def test_nan_boundary(self):
+        with pytest.raises(ValueError, match="NaN"):
+            build_partition("Vstar", [-INF, -1.0, math.nan, 1.0, INF])
+
 
 class TestGeometry:
     def test_compact_centers_are_midpoints(self, example_partition):
@@ -115,6 +119,10 @@ class TestGeometry:
             p.support_center(-1)
         with pytest.raises(RayWithoutNeighbor):
             p.support_center(0)
+
+    def test_compact_support_has_no_compact_neighbor(self, example_partition):
+        with pytest.raises(RayWithoutNeighbor, match="not a one-sided ray"):
+            example_partition.compact_neighbor(1)
 
     def test_unknown_support_index(self, example_partition):
         with pytest.raises(KeyError):

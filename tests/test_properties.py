@@ -88,6 +88,27 @@ def test_empirical_bounds_within_analytic(case, family):
         assert b <= b_ana * (1.0 + 1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(banks_on_grid(), st.integers(32, 8192))
+def test_meyer_interior_norms_are_one(case, n_samples):
+    partition, _ = case
+    assume(all(partition.support_center(s.index) != 0.0 for s in partition.supports))
+    grid = FrequencyGrid(n_samples)
+    norms = filter_norms(sample_bank(partition, FamilyParams("meyer"), grid))
+    centers = [partition.support_center(s.index) for s in partition.supports]
+    # the rays are the first and last filters; an interior filter rises from
+    # the centre below to its own and falls to the centre above. A ramp that
+    # leaves the grid is cut short, and one of few bins is a coarse quadrature
+    for i in range(1, len(centers) - 1):
+        below, center, above = centers[i - 1 : i + 2]
+        ramp_bins = [
+            np.count_nonzero((grid.xi > lo) & (grid.xi < hi))
+            for lo, hi in ((below, center), (center, above))
+        ]
+        if -np.pi < below and above < np.pi and min(ramp_bins) >= 8:
+            assert abs(norms[i] - 1.0) <= 1e-6, (i, ramp_bins)
+
+
 @PROPERTY_SETTINGS
 @given(banks_on_grid(), ALL_FAMILIES)
 def test_dual_inverts_on_regular_bins(case, family):

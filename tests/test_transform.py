@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cews import (
+    EwtCoefficients,
     FamilyParams,
     FilterBank,
     FrequencyGrid,
@@ -289,6 +290,13 @@ class TestInverse:
         coeffs = forward(np.zeros(64), bank_small)
         with pytest.raises(ShapeMismatch):
             inverse(coeffs, dual_bank(bank_large))
+
+    def test_support_mismatch(self, grid_partition):
+        bank = make_bank(grid_partition, "shannon", 64)
+        coeffs = forward(np.zeros(64), bank)
+        relabelled = EwtCoefficients(coeffs.rows, tuple(reversed(coeffs.support_indices)))
+        with pytest.raises(ShapeMismatch, match="index different supports"):
+            inverse(relabelled, dual_bank(bank))
 
 
 class TestInverseTight:
