@@ -166,9 +166,20 @@ def cmd_inverse(args) -> int:
     return 0
 
 
-def _relative_error(rec, signal) -> float:
-    denom = float(np.linalg.norm(signal))
-    return float(np.linalg.norm(rec - signal)) / denom if denom else 0.0
+def _norm(v):
+    """The l2 norm of v. np.linalg.norm squares the samples, so where it
+    overflows or comes out below 1e-146, near where the squares underflow,
+    the norm is taken of |v| / max|v| and scaled back."""
+    try:
+        norm = np.linalg.norm(v)
+    except FloatingPointError:
+        norm = 0.0
+    if norm < 1e-146:
+        moduli = np.abs(v)
+        peak = moduli.max()
+        if peak:
+            norm = peak * np.linalg.norm(moduli / peak)
+    return norm
 
 
 def cmd_roundtrip(args) -> int:
@@ -177,11 +188,9 @@ def cmd_roundtrip(args) -> int:
     signal = _read_signal(args, config.n_samples)
     coeffs = forward(signal, bank)
     rec = _reconstruct(args, config, bank, coeffs)
-    try:
-        err = _relative_error(rec, signal)
-    except FloatingPointError:  # the norms square the samples
-        scale = np.abs(signal).max()
-        err = _relative_error(rec / scale, signal / scale)
+    denom = _norm(signal)
+    # numpy floats, so that a ratio beyond the largest float raises
+    err = float(_norm(rec - signal) / denom) if denom else 0.0
     payload = {"rel_l2_error": err, "max_imag": float(np.abs(rec.imag).max())}
     print(json.dumps(payload, allow_nan=False))
     return 0

@@ -100,24 +100,6 @@ def _divide(values, denom) -> np.ndarray:
     return values / denom
 
 
-class _Spectra:
-    """``FilterBank.spectra``: the dense view of the bank, built from its
-    band storage on first read and cached (see :class:`FilterBank`). The
-    constructor sets it to a :class:`_Bands`, or to a dense array to cache."""
-
-    def __get__(self, bank, owner=None):
-        return self if bank is None else bank._view()
-
-    def __set__(self, bank, spectra):
-        if isinstance(spectra, _Bands):
-            object.__setattr__(bank, "bands", tuple(spectra.bands))
-            object.__setattr__(bank, "_storage", spectra.rows)
-        else:
-            spectra = np.asarray(spectra)
-            object.__setattr__(bank, "bands", ((0, bank.grid.n_samples),) * len(spectra))
-            bank._cache(spectra)
-
-
 @dataclass(frozen=True, eq=False)
 class FilterBank:
     """Filters sampled on a grid: an analysis family or its pointwise dual.
@@ -135,20 +117,43 @@ class FilterBank:
     Band rows are the storage: each row's band values and its zero, or, on a
     dual from ``dual_bank``, S and the bank, whose values it divides by S as
     they are read. Every library function reads a bank through
-    :meth:`_layout`, so none builds the dense ``spectra``. They are a cache
-    that the rows point into once built, on first read, and read-only. A bank
-    built with a dense ``spectra``, by hand or by ``dataclasses.replace``,
-    has whole-row bands whose rows view that array. ``bands`` is not a
-    constructor argument.
+    :meth:`_layout`, so none builds the dense ``spectra``. Their first read
+    builds them; from then on they are an ordinary read-only instance
+    attribute, which the band rows view. A bank built with a dense
+    ``spectra``, by hand or by ``dataclasses.replace``, has whole-row bands
+    whose rows view that array. ``bands`` is not a constructor argument.
     """
 
     partition: Partition
     params: FamilyParams
     grid: FrequencyGrid
-    spectra: np.ndarray = field(repr=False)  # a _Spectra, set below
+    spectra: np.ndarray = field(repr=False)
     support_indices: tuple
     singular_bins: tuple = ()
     bands: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        spectra = vars(self).pop("spectra")  # a _Bands, or a dense array to cache
+        if isinstance(spectra, _Bands):
+            object.__setattr__(self, "bands", tuple(spectra.bands))
+            object.__setattr__(self, "_storage", spectra.rows)
+        else:
+            spectra = np.asarray(spectra)
+            object.__setattr__(self, "bands", ((0, self.grid.n_samples),) * len(spectra))
+            self._cache(spectra)
+
+    def __getattr__(self, name):
+        """Only names that normal lookup misses get here: ``spectra`` before
+        its first read, which builds them from the band storage, read-only,
+        and caches them; any other name is missing."""
+        if name != "spectra":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
+        for row, layout in zip(spectra, self._layout()):
+            _fill(row, *layout)
+        spectra.setflags(write=False)
+        self._cache(spectra)
+        return spectra
 
     def _layout(self):
         """For each row in order: (band, values, zero), the natural-order
@@ -167,23 +172,10 @@ class FilterBank:
         for (lo, hi), (values, zero) in zip(self.bands, storage):
             yield self.grid.run_slices(lo, hi), values, zero
 
-    def _view(self) -> np.ndarray:
-        """The dense spectra: on first read, built from the band storage,
-        made read-only and cached, and the band rows pointed at views of it,
-        so that the bank holds its values once."""
-        spectra = getattr(self, "_spectra", None)
-        if spectra is None:
-            spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
-            for row, layout in zip(spectra, self._layout()):
-                _fill(row, *layout)
-            spectra.setflags(write=False)
-            self._cache(spectra)
-        return spectra
-
     def _cache(self, spectra) -> None:
-        """Keep the dense ``spectra`` and point the band rows at views of
-        them: each row's values on its band, and its first bin after the
-        band as its zero, None if the band is the whole row."""
+        """Set ``spectra`` on the instance, so later reads are plain lookups,
+        and point the band rows at views of them: each row's values on its
+        band, and the bin after the band as its zero, None for a whole row."""
         grid = self.grid
         rows = tuple(
             (
@@ -192,13 +184,8 @@ class FilterBank:
             )
             for row, (lo, hi) in zip(spectra, self.bands)
         )
-        object.__setattr__(self, "_spectra", spectra)
+        object.__setattr__(self, "spectra", spectra)
         object.__setattr__(self, "_storage", rows)
-
-
-# set once the dataclass is made: as the field's default, the descriptor
-# would leave ``spectra`` in the repr, which would then build them
-FilterBank.spectra = _Spectra()
 
 
 def _fill(row, band, values, zero) -> None:

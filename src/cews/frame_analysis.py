@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import (
-    GABOR,
     GABOR_RAY_EXTENDED,
     LITTLEWOOD_PALEY,
     MEYER,

@@ -203,6 +203,42 @@ class TestRoundtrip:
         assert code == 0
         assert json.loads(out)["rel_l2_error"] <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_samples_whose_squares_underflow(self, capsys, config_path, tmp_path, scale):
+        # the squared norms underflow to 0; with A = 0.5 the tight frame gives
+        # twice the signal back, off by the signal itself
+        sig = tmp_path / "signal.csv"
+        x = np.random.default_rng(0).standard_normal(64) * scale
+        write_signal_csv(sig, x, real_only=True)
+        config = config_path(n_samples=64)
+        code, out, _ = run(
+            capsys, "roundtrip", "--config", config, "--signal", str(sig), "--tight", "0.5"
+        )
+        assert code == 0
+        assert abs(json.loads(out)["rel_l2_error"] - 1.0) <= 1e-12
+
+    def test_error_whose_square_overflows(self, capsys, config_path, tmp_path):
+        sig = tmp_path / "signal.csv"
+        write_signal_csv(sig, np.random.default_rng(0).standard_normal(64), real_only=True)
+        config = config_path(n_samples=64)
+        code, out, _ = run(
+            capsys, "roundtrip", "--config", config, "--signal", str(sig), "--tight", "1e-300"
+        )
+        assert code == 0
+        assert abs(json.loads(out)["rel_l2_error"] / 1e300 - 1.0) <= 1e-12
+
+    def test_error_beyond_the_largest_float_exits_1(
+        self, capsys, config_path, tmp_path, monkeypatch
+    ):
+        sig = tmp_path / "signal.csv"
+        write_signal_csv(sig, np.full(64, 1e-300), real_only=True)
+        monkeypatch.setattr(cews.cli, "_reconstruct", lambda *_: np.full(64, 1e300 + 0j))
+        code, out, err = run(
+            capsys, "roundtrip", "--config", config_path(n_samples=64), "--signal", str(sig)
+        )
+        assert code == 1
+        assert error_payload(out, err)["error"] == "FloatingPointError"
+
     def test_tight_flag(self, capsys, config_path, signal_path):
         sig, _ = signal_path(n=1024)
         config = config_path(n_samples=1024)

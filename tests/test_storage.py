@@ -6,12 +6,15 @@ and one zero per row, and its dual the bank and the squared filter sum.
 Reading it on any library path would bring back a dense K×N array per bank.
 """
 
+import copy
 import gc
+import pickle
 import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from cews import (
     FamilyParams,
@@ -128,3 +131,35 @@ def test_repr_leaves_the_storage_alone():
         for name in ("partition", "params", "grid", "support_indices", "singular_bins"):
             assert f"{name}={getattr(b, name)!r}" in text
         assert "spectra" not in text
+
+
+def test_copies_keep_band_storage_and_bytes():
+    n = 512
+    bank = vstar_lp_bank(n)
+    dual = dual_bank(bank)
+    x = np.random.default_rng(0).standard_normal(n)
+    coeffs = forward(x, bank)
+    rec = inverse(coeffs, dual)
+    copies = [
+        (copy_of(bank), copy_of(dual))
+        for copy_of in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b)))
+    ]
+    for bank_copy, dual_copy in copies:
+        assert holds_band_rows(bank_copy) and isinstance(dual_copy._storage, _Quotients)
+        assert not holds_dense(bank_copy) and not holds_dense(dual_copy)
+        assert forward(x, bank_copy).rows.tobytes() == coeffs.rows.tobytes()
+        assert inverse(coeffs, dual_copy).tobytes() == rec.tobytes()
+    for bank_copy, dual_copy in copies:
+        assert bank_copy.spectra.tobytes() == bank.spectra.tobytes()
+        assert dual_copy.spectra.tobytes() == dual.spectra.tobytes()
+
+
+def test_spectra_become_an_instance_attribute_on_first_read():
+    bank = vstar_lp_bank(512)
+    for b in (bank, dual_bank(bank)):
+        with pytest.raises(AttributeError, match="'no_such_attribute'"):
+            b.no_such_attribute
+        assert "spectra" not in vars(b) and not holds_dense(b)
+        spectra = b.spectra
+        assert vars(b)["spectra"] is spectra and b.spectra is spectra
+        assert not spectra.flags.writeable
