@@ -19,7 +19,9 @@ from .frame_analysis import frame_report
 from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
 
 
-def _add_common(sub, *, config=True, signal=False, coef=False, out=False, out_required=False):
+def _add_common(
+    sub, *, config=True, signal=False, coef=False, out=False, out_required=False, reconstruct=False
+):
     if config:
         sub.add_argument("--config", required=True, help="job config JSON path")
         sub.add_argument(
@@ -45,6 +47,15 @@ def _add_common(sub, *, config=True, signal=False, coef=False, out=False, out_re
         sub.add_argument(
             "--out", required=out_required, default=None, help="output file path"
         )
+    if reconstruct:
+        sub.add_argument("--allow-singular", action="store_true", help="zero-fill singular bins")
+        sub.add_argument(
+            "--tight",
+            type=float,
+            default=None,
+            metavar="A",
+            help="reconstruct with the analysis filters scaled by 1/A instead of the dual bank",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,21 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("inverse", help="reconstruct a signal from coefficients")
-    _add_common(p, coef=True, out=True, out_required=True)
-    p.add_argument("--allow-singular", action="store_true", help="zero-fill singular bins")
-    p.add_argument(
-        "--tight",
-        type=float,
-        default=None,
-        metavar="A",
-        help="reconstruct with the analysis filters scaled by 1/A instead of the dual bank",
-    )
+    _add_common(p, coef=True, out=True, out_required=True, reconstruct=True)
     p.set_defaults(func=cmd_inverse)
 
     p = sub.add_parser("roundtrip", help="forward + inverse, report the error as JSON")
-    _add_common(p, signal=True)
-    p.add_argument("--allow-singular", action="store_true", help="zero-fill singular bins")
-    p.add_argument("--tight", type=float, default=None, metavar="A")
+    _add_common(p, signal=True, reconstruct=True)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("frame", help="frame bounds and filter norms as JSON")
@@ -98,13 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> formats.JobConfig:
+def _load_job(args):
+    """The job's config, with the command line's overrides, and its bank."""
     config = formats.load_config(args.config, n_samples_override=args.n_samples)
     if args.hz is not None:
         config = formats.convert_hz(config, args.hz)
     if getattr(args, "allow_singular", False):
         config = replace(config, allow_singular=True)
-    return config
+    return config, formats.realize_bank(config)
 
 
 def _read_signal(args, n_expected):
@@ -128,8 +130,7 @@ def _reconstruct(args, config, bank, coeffs):
 
 
 def cmd_filters(args) -> int:
-    config = _load_config(args)
-    bank = formats.realize_bank(config)
+    config, bank = _load_job(args)
     order = bank.grid.order
     header, columns = ["xi"], [bank.grid.xi[order]]
     for n, row in zip(bank.support_indices, bank.spectra[:, order]):
@@ -140,8 +141,7 @@ def cmd_filters(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    config = _load_config(args)
-    bank = formats.realize_bank(config)
+    config, bank = _load_job(args)
     signal = _read_signal(args, config.n_samples)
     coeffs = forward(signal, bank)
     formats.write_coefficients(args.out, coeffs.rows, coeffs.support_indices)
@@ -149,8 +149,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_inverse(args) -> int:
-    config = _load_config(args)
-    bank = formats.realize_bank(config)
+    config, bank = _load_job(args)
     rows, indices = formats.read_coefficients(args.coef)
     if indices != bank.support_indices:
         raise ShapeMismatch(
@@ -183,8 +182,7 @@ def _norm(v):
 
 
 def cmd_roundtrip(args) -> int:
-    config = _load_config(args)
-    bank = formats.realize_bank(config)
+    config, bank = _load_job(args)
     signal = _read_signal(args, config.n_samples)
     coeffs = forward(signal, bank)
     rec = _reconstruct(args, config, bank, coeffs)
@@ -197,8 +195,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_frame(args) -> int:
-    config = _load_config(args)
-    bank = formats.realize_bank(config)
+    config, bank = _load_job(args)
     report = frame_report(bank, epsilon=config.epsilon)
     payload = {
         "A_emp": report.a_empirical,

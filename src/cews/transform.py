@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, _Bands, _Quotients, _fill
+from .families import FilterBank, _Bands, _Quotients, _divide, _fill
 from .frame_analysis import DEFAULT_EPSILON, _energy, check_epsilon
 
 
@@ -162,9 +162,11 @@ def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float 
     """Reconstruct using the analysis filters themselves, scaled by 1/A.
 
     Exact only when the bank is tight with constant squared sum A; verifying
-    tightness is the caller's job (see frame_analysis).
+    tightness is the caller's job (see frame_analysis). The division is the
+    dual's, so a subnormal A is exact too.
     """
     a = float(frame_bound)
     if not 0.0 < a < np.inf:
         raise NonPositiveA(f"frame bound must be finite and > 0, got {a}")
-    return np.fft.ifft(_accumulate(coeffs, bank) / a)
+    # _divide assigns into its divisor by index, so A goes in as a 0-d array
+    return np.fft.ifft(_divide(_accumulate(coeffs, bank), np.array(a)))

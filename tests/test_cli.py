@@ -129,6 +129,25 @@ class TestForwardInverse:
         rec = read_signal_csv(rec_path, n_expected=512)
         assert np.linalg.norm(rec - x) / np.linalg.norm(x) < 1e-10
 
+    def test_tight_with_a_subnormal_bound(self, capsys, config_path, tmp_path):
+        # 1/A overflows for A = 1e-310, though x / A is a float
+        config = config_path(boundaries=["-inf", -1.0, 0.5, "+inf"], n_samples=64)
+        sig, coef, rec_path = (tmp_path / name for name in ("signal.csv", "coef.ewtc", "rec.csv"))
+        x = np.random.default_rng(0).standard_normal(64) * 1e-318
+        write_signal_csv(sig, x, real_only=True)
+        code, _, _ = run(
+            capsys, "forward", "--config", config, "--signal", str(sig), "--out", str(coef)
+        )
+        assert code == 0
+        code, _, err = run(
+            capsys, "inverse", "--config", config, "--coef", str(coef), "--tight", "1e-310",
+            "--out", str(rec_path),
+        )
+        assert (code, err) == (0, "")
+        rec = read_signal_csv(rec_path, n_expected=64)
+        assert np.isfinite(rec).all()
+        assert np.abs(rec - x / 1e-310).max() <= 1e-5 * np.abs(x / 1e-310).max()
+
     def test_forward_rerun_byte_identical(self, capsys, config_path, signal_path, tmp_path):
         config = config_path(n_samples=256)
         sig, _ = signal_path(n=256)
@@ -226,6 +245,27 @@ class TestRoundtrip:
         )
         assert code == 0
         assert abs(json.loads(out)["rel_l2_error"] / 1e300 - 1.0) <= 1e-12
+
+    def test_subnormal_bound_reconstructs_but_its_error_ratio_overflows(
+        self, capsys, config_path, tmp_path, monkeypatch
+    ):
+        # the reconstruction is about x / A, so |rec - x| / |x| is about 1e310
+        sig = tmp_path / "signal.csv"
+        write_signal_csv(sig, np.random.default_rng(0).standard_normal(64) * 1e-318, real_only=True)
+        config = config_path(boundaries=["-inf", -1.0, 0.5, "+inf"], n_samples=64)
+        reconstruct, recs = cews.cli._reconstruct, []
+
+        def keep(*args):
+            recs.append(reconstruct(*args))
+            return recs[-1]
+
+        monkeypatch.setattr(cews.cli, "_reconstruct", keep)
+        code, out, err = run(
+            capsys, "roundtrip", "--config", config, "--signal", str(sig), "--tight", "1e-310"
+        )
+        assert code == 1
+        assert error_payload(out, err)["error"] == "FloatingPointError"
+        assert len(recs) == 1 and np.isfinite(recs[0]).all()
 
     def test_error_beyond_the_largest_float_exits_1(
         self, capsys, config_path, tmp_path, monkeypatch
@@ -351,6 +391,18 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "InputFormatError"
         assert "mode" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"gamma": "0.5"}, "gamma: expected a number, got '0.5'"),
+            ({"boundaries": [1.0]}, "boundaries: at least 2 values required"),
+        ],
+    )
+    def test_config_field_errors_exit_2(self, capsys, config_path, field, message):
+        code, out, err = run(capsys, "frame", "--config", config_path(**field))
+        assert code == 2
+        assert error_payload(out, err) == {"error": "InputFormatError", "message": message}
 
     def test_empty_signal_exits_2(self, capsys, config_path, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -543,6 +595,20 @@ class TestFlags:
         assert code == 1
         assert json.loads(err)["error"] == "BoundaryOutsideGrid"
 
+    def test_inverse_and_roundtrip_share_the_reconstruction_flags(self, capsys):
+        # the two flags close both option lists, so the help from the last
+        # --allow-singular on is theirs alone
+        tails = []
+        for command in ("inverse", "roundtrip"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            tails.append(" ".join(text[text.rindex("--allow-singular"):].split()))
+        assert tails[0] == tails[1]
+        assert tails[1] == (
+            "--allow-singular zero-fill singular bins --tight A reconstruct with the "
+            "analysis filters scaled by 1/A instead of the dual bank"
+        )
 
 def test_module_entry_point(tmp_path):
     config = tmp_path / "config.json"

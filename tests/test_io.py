@@ -9,6 +9,7 @@ from cews import FamilyParams, FrequencyGrid, build_partition, forward, sample_b
 from cews.errors import FewerPeaksThanRequested, InputFormatError, LengthMismatch
 from cews.io import (
     JobConfig,
+    _cut_bins,
     convert_hz,
     decode_boundary,
     encode_boundary,
@@ -247,6 +248,15 @@ class TestCoefficientFile:
         with pytest.raises(InputFormatError, match="version"):
             read_coefficients(bad_version)
 
+    def test_write_rejects_rows_that_do_not_match_the_layout(self, tmp_path):
+        path = tmp_path / "coef.ewtc"
+        coeffs = self.make_coeffs(n=8)
+        with pytest.raises(InputFormatError, match="2-D"):
+            write_coefficients(path, coeffs.rows[0], coeffs.support_indices[:1])
+        with pytest.raises(InputFormatError, match="one support index per coefficient row"):
+            write_coefficients(path, coeffs.rows, coeffs.support_indices[:-1])
+        assert not path.exists()
+
 
 def tone(n, k, amplitude=1.0):
     return amplitude * np.cos(2.0 * np.pi * k * np.arange(n) / n)
@@ -302,3 +312,19 @@ class TestProposeBoundaries:
     def test_count_validation(self):
         with pytest.raises(InputFormatError):
             propose_boundaries(np.zeros(16), 0)
+
+    def test_four_samples_are_enough_and_three_are_not(self):
+        # a complex signal, since a 4-sample real one never has a peak to cut at
+        result = propose_boundaries(np.array([1, 1j, -1, -1j]), 1)
+        assert result == {"mode": "Vstar", "boundaries": [-INF, INF]}
+        with pytest.raises(InputFormatError, match="at least 4 samples"):
+            propose_boundaries(np.array([1, 1j, -1]), 1)
+
+    def test_peak_next_to_the_zero_frequency_leaves_no_bin_to_cut(self):
+        with pytest.raises(FewerPeaksThanRequested, match="adjacent peaks"):
+            propose_boundaries(tone(16, 1), 1)
+
+    def test_cut_lies_strictly_between_the_peaks(self):
+        # peaks at bins 1 and 5; the smallest of bins 2, 3 and 4 is bin 3
+        line = np.array([0.0, 5.0, 3.0, 1.0, 2.0, 6.0, 0.0])
+        assert _cut_bins(line, np.arange(7), 2, anchor_first=False) == [3]

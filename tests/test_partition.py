@@ -47,6 +47,8 @@ class TestBuild:
         with pytest.raises(VstarMissingSide):
             # an infinite side does not count as a finite boundary
             build_partition("Vstar", [-INF, 5.0, 7.0, INF])
+        with pytest.raises(VstarMissingSide, match="positive"):
+            build_partition("Vstar", [-2.0, -1.0])
 
     def test_not_sorted(self):
         with pytest.raises(NotSorted):

@@ -328,6 +328,24 @@ class TestInverseTight:
         rec = inverse_tight(forward(x, bank), bank, 1.0)
         assert rel_l2(rec, x) > 1e-2
 
+    def test_subnormal_bound_divides_exactly(self):
+        # numpy divides a complex by a real through its reciprocal, and 1/A
+        # overflows for a subnormal A; both sides are scaled by 2^64 instead,
+        # real and imaginary parts apart, as the dual's division does
+        bank = make_bank(build_partition("Vstar", [-INF, -1.0, 0.5, INF]), "littlewood-paley", 64)
+        x = np.random.default_rng(0).standard_normal(64) * 1e-318
+        coeffs = forward(x, bank)
+        a = 1e-310
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rec = inverse_tight(coeffs, bank, a)
+        acc = np.zeros(64, dtype=complex)
+        for row, filt in zip(coeffs.rows, bank.spectra):
+            acc += np.fft.fft(row) * filt
+        scaled = (acc.view(float) * 2.0**64).view(complex)
+        assert np.isfinite(rec).all()
+        assert rec.tobytes() == np.fft.ifft(scaled / (a * 2.0**64)).tobytes()
+        assert np.abs(rec - x / a).max() <= 1e-5 * np.abs(x / a).max()
+
     def test_non_positive_bound_rejected(self, grid_partition):
         bank = make_bank(grid_partition, "shannon", 64)
         coeffs = forward(np.zeros(64), bank)
