@@ -16,6 +16,7 @@ import numpy as np
 from . import io as formats
 from .errors import EwtError, InputFormatError, ShapeMismatch, SingularFrame
 from .frame_analysis import frame_report
+from .partition import build_partition
 from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
 
 
@@ -214,6 +215,7 @@ def cmd_frame(args) -> int:
 def cmd_detect(args) -> int:
     signal = _read_signal(args, n_expected=None)
     proposal = formats.propose_boundaries(signal, args.peaks)
+    build_partition(proposal["mode"], proposal["boundaries"])  # refuse what no config accepts
     payload = {
         "mode": proposal["mode"],
         "boundaries": [formats.encode_boundary(v) for v in proposal["boundaries"]],

@@ -223,35 +223,33 @@ def _finish(out, scalar):
     return out
 
 
+# A ray's missing transition: an empty ramp at that end of the line. The fall
+# stops at the largest float, so xi = +inf is off it: (inf - inf) / 1 is NaN.
+_NO_RISE = (-math.inf, -math.inf, 1.0)
+_NO_FALL = (math.inf, np.finfo(float).max, 1.0)
+
+
 def _bump(x, rise, fall):
     """Roll-off profile shared by Littlewood-Paley and Meyer.
 
-    ``rise`` and ``fall`` are ``(start, stop, width)`` ramps or None: the
-    profile climbs as sin(pi/2 beta((x - start) / width)) on [start, stop),
-    holds 1 between the ramps, falls as cos(pi/2 beta((x - start) / width))
-    on [start, stop] and is 0 elsewhere. A missing ramp extends the plateau
-    to that end of the line. ``width`` is passed rather than recomputed as
-    stop - start because, in floating point, Littlewood-Paley's 2t need not
-    equal (v + t) - (v - t). Writes go plateau, fall, rise, so a rise
-    overlapping the fall wins. The
-    fall is exactly 1 at its start, so a one-point plateau (interior Meyer
-    filters) needs no pass of its own.
+    ``rise`` and ``fall`` are ``(start, stop, width)`` ramps: the profile
+    climbs as sin(pi/2 beta((x - start) / width)) on [start, stop), holds 1
+    from the rise's stop to the fall's start, falls as cos(pi/2 beta((x -
+    start) / width)) on [start, stop] and is 0 elsewhere. A ray's missing
+    ramp, ``_NO_RISE`` or ``_NO_FALL``, is empty. ``width`` is passed rather
+    than recomputed as stop - start because, in floating point,
+    Littlewood-Paley's 2t need not equal (v + t) - (v - t). Writes go
+    plateau, fall, rise, so a rise overlapping the fall wins, and the fall's
+    1.0 at its start rewrites a one-point plateau (interior Meyer filters).
     """
     out = np.zeros(x.shape)
-    if rise is None:
-        out[x <= fall[0]] = 1.0
-    elif fall is None:
-        out[x >= rise[1]] = 1.0
-    elif rise[1] < fall[0]:
-        out[(x >= rise[1]) & (x <= fall[0])] = 1.0
-    if fall is not None:
-        start, stop, width = fall
-        m = (x >= start) & (x <= stop)
-        out[m] = np.cos(HALF_PI * beta((x[m] - start) / width))
-    if rise is not None:
-        start, stop, width = rise
-        m = (x >= start) & (x < stop)
-        out[m] = np.sin(HALF_PI * beta((x[m] - start) / width))
+    out[(x >= rise[1]) & (x <= fall[0])] = 1.0
+    start, stop, width = fall
+    m = (x >= start) & (x <= stop)
+    out[m] = np.cos(HALF_PI * beta((x[m] - start) / width))
+    start, stop, width = rise
+    m = (x >= start) & (x < stop)
+    out[m] = np.sin(HALF_PI * beta((x[m] - start) / width))
     return out
 
 
@@ -293,14 +291,15 @@ def eval_lp(partition: Partition, gamma, n: int, xi):
     """
     gamma = _check_gamma(partition, gamma)
     s = partition.support(n)
-    rise = None if s.is_left_ray else _lp_ramp(partition, gamma, s.lo)
-    fall = None if s.is_right_ray else _lp_ramp(partition, gamma, s.hi)
     x, scalar = _as_xi(xi)
+    rise, fall = _lp_ramp(partition, gamma, s.lo), _lp_ramp(partition, gamma, s.hi)
     return _finish(_bump(x, rise, fall), scalar)
 
 
 def _lp_ramp(partition: Partition, gamma: float, value: float) -> tuple:
-    """The :func:`_bump` ramp of Littlewood-Paley around a finite boundary."""
+    """The :func:`_bump` ramp of Littlewood-Paley around a boundary, empty at +-inf."""
+    if math.isinf(value):
+        return _NO_RISE if value < 0 else _NO_FALL
     t = _zero_half_width(partition, gamma) if value == 0.0 else gamma * abs(value)
     return (value - t, value + t, 2.0 * t)
 
@@ -343,10 +342,10 @@ def _meyer_ramps(centers, pos: int) -> tuple:
     Filter pos falls on the ramp that filter pos + 1 rises on."""
     if pos == 0:
         c0, c1 = centers[0], centers[1]
-        return None, (c0, c1, c1 - c0), _meyer_prefactor(c1 - c0, abs(c1))
+        return _NO_RISE, (c0, c1, c1 - c0), _meyer_prefactor(c1 - c0, abs(c1))
     if pos == len(centers) - 1:
         c0, c1 = centers[-2], centers[-1]
-        return (c0, c1, c1 - c0), None, _meyer_prefactor(c1 - c0, abs(c0))
+        return (c0, c1, c1 - c0), _NO_FALL, _meyer_prefactor(c1 - c0, abs(c0))
     below, mid, above = centers[pos - 1], centers[pos], centers[pos + 1]
     rise, fall = (below, mid, mid - below), (mid, above, above - mid)
     return rise, fall, _meyer_prefactor(above - below, max(abs(below), abs(above)))
@@ -426,16 +425,15 @@ def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
 # -- sampling --------------------------------------------------------------------
 
 
-def _position(grid: FrequencyGrid, v: float, side: str) -> int:
-    """``np.searchsorted(grid.xi[grid.order], v, side)``, without sorting the
-    grid: every negative bin (N//2 + 1, ..., N - 1 in natural order) sorts
-    before every other one (0, ..., N//2), and each half is ascending, so the
-    position is the sum of the two halves' counts.
-    """
+def _position(grid: FrequencyGrid, v, side: str):
+    """``np.searchsorted(grid.xi[grid.order], v, side)`` as an int, or a list
+    of ints for an array v, without sorting the grid: every negative bin
+    (N//2 + 1, ..., N - 1 in natural order) sorts before every other one (0,
+    ..., N//2), and each half is ascending, so the position is the sum of
+    the two halves' counts."""
     half = grid.n_samples // 2 + 1
-    return int(np.searchsorted(grid.xi[half:], v, side)) + int(
-        np.searchsorted(grid.xi[:half], v, side)
-    )
+    pos = np.searchsorted(grid.xi[half:], v, side) + np.searchsorted(grid.xi[:half], v, side)
+    return pos.tolist()
 
 
 def _write(band, lo: int, first: int, stop: int, values, pref) -> None:
@@ -480,56 +478,40 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
     """The bands and band storage of a Littlewood-Paley or Meyer bank.
 
     Filter i rises on ramp i and falls on ramp i + 1, the ramp filter i + 1
-    rises on, with the same (start, stop, width). So each ramp's angles are
-    computed once, over its closed run of sorted positions: the fall takes
-    their cos, the neighbour's rise their sin over the half-open prefix of the
-    run. Writes go plateau, fall, rise, as in :func:`_bump`. Meyer values are
-    times the filter's prefactor, and outside its band a Meyer row holds the
-    prefactor times 0; a Littlewood-Paley row holds +0.0 there.
+    rises on; a ray's missing ramp is empty, and so is its run. So each
+    ramp's angles are computed once, over its closed run of sorted positions:
+    the fall takes their cos, the neighbour's rise their sin over the
+    half-open prefix of the run. Writes go plateau, fall, rise, as in
+    :func:`_bump`. Meyer values are times the filter's prefactor, and outside
+    its band a Meyer row holds the prefactor times 0; a Littlewood-Paley row
+    holds +0.0 there.
     """
     if params.family == LITTLEWOOD_PALEY:
         gamma = _check_gamma(partition, params.gamma)
-        ramps = [
-            None if math.isinf(v) else _lp_ramp(partition, gamma, v)
-            for v in partition.boundaries
-        ]
+        ramps = [_lp_ramp(partition, gamma, v) for v in partition.boundaries]
         prefactors = [None] * len(partition.supports)
     else:
         centers = _meyer_centers(partition)
         plans = [_meyer_ramps(centers, pos) for pos in range(len(centers))]
-        ramps = [rise for rise, _, _ in plans] + [None]
+        ramps = [rise for rise, _, _ in plans] + [_NO_FALL]
         prefactors = [pref for _, _, pref in plans]
     n_bins = grid.n_samples
     # each ramp's sorted positions: start, stop if half-open, stop if closed
-    runs = [
-        None
-        if ramp is None
-        else (
-            _position(grid, ramp[0], "left"),
-            _position(grid, ramp[1], "left"),
-            _position(grid, ramp[1], "right"),
-        )
-        for ramp in ramps
-    ]
-    angles = None if ramps[0] is None else _angles(grid, ramps[0], runs[0][0], runs[0][2])
-    bands = [
-        (0 if rise is None else rise[0], n_bins if fall is None else fall[2])
-        for rise, fall in zip(runs, runs[1:])
-    ]
+    starts, stops = np.array(ramps)[:, :2].T
+    ends = [(starts, "left"), (stops, "left"), (stops, "right")]
+    runs = list(zip(*(_position(grid, v, side) for v, side in ends)))
+    angles = _angles(grid, ramps[0], runs[0][0], runs[0][2])
+    bands = [(rise[0], fall[2]) for rise, fall in zip(runs, runs[1:])]
     rows = []
     for i, (pref, (lo, hi), (band, pieces)) in enumerate(
         zip(prefactors, bands, _band_storage(grid, bands))
     ):
         rise, fall = runs[i], runs[i + 1]
         # a plateau bin on the fall's start takes the fall's 1.0 instead
-        plateau = (0 if rise is None else rise[1], n_bins if fall is None else fall[0])
-        _write(band, lo, *plateau, 1.0, pref)
-        rise_angles, angles = angles, None
-        if fall is not None:
-            angles = _angles(grid, ramps[i + 1], fall[0], fall[2])
-            _write(band, lo, fall[0], fall[2], np.cos(angles), pref)
-        if rise is not None:
-            _write(band, lo, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
+        _write(band, lo, rise[1], fall[0], 1.0, pref)
+        rise_angles, angles = angles, _angles(grid, ramps[i + 1], fall[0], fall[2])
+        _write(band, lo, fall[0], fall[2], np.cos(angles), pref)
+        _write(band, lo, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
         zero = None
         if hi - lo < n_bins:
             zero = np.zeros(1, dtype=complex) if pref is None else pref * np.zeros(1)

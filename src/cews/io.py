@@ -269,7 +269,7 @@ def read_signal_raw(path, n_expected: int = None) -> np.ndarray:
     if n_expected is None or flat.size == n_expected:
         return flat.astype(complex)
     if flat.size == 2 * n_expected:
-        return flat[0::2] + 1j * flat[1::2]
+        return flat.view("<c16").astype(complex)
     raise LengthMismatch(
         f"{path}: {flat.size} float64 values fit neither {n_expected} real "
         f"nor {n_expected} complex samples"
@@ -329,7 +329,8 @@ def propose_boundaries(signal, count: int) -> dict:
     Finds the ``count`` largest local maxima of |DFT| and places one boundary
     at the magnitude minimum between consecutive maxima (for real signals:
     on the positive half line, anchored at the zero frequency, then mirrored
-    and closed with rays). Returns a config-compatible mapping.
+    and closed with rays). Returns a mode and boundaries that need not form a
+    partition: for a complex signal, ``count`` peaks give ``count - 1`` cuts.
     """
     if count < 1:
         raise InputFormatError("peak count must be >= 1")

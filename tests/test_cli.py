@@ -148,6 +148,25 @@ class TestForwardInverse:
         assert np.isfinite(rec).all()
         assert np.abs(rec - x / 1e-310).max() <= 1e-5 * np.abs(x / 1e-310).max()
 
+    def test_raw_and_csv_read_signed_zeros_alike(self, capsys, config_path, tmp_path):
+        # each -0.0 part must reach the transform from a raw file as from a CSV
+        config = config_path(boundaries=["-inf", -1.0, 0.5, "+inf"], n_samples=8)
+        x = np.full(8, complex(-0.0, -0.0))
+        csv, raw = tmp_path / "csv-signal.csv", tmp_path / "raw-signal.bin"
+        write_signal_csv(csv, x)
+        raw.write_bytes(x.astype("<c16").tobytes())
+        from_csv = read_signal_csv(csv, n_expected=8)
+        assert cews.io.read_signal_raw(raw, n_expected=8).tobytes() == from_csv.tobytes()
+        assert from_csv.tobytes() == x.tobytes()
+        for signal, flags in ((csv, ()), (raw, ("--raw",))):
+            code, _, err = run(
+                capsys, "forward", "--config", config, "--signal", str(signal), *flags,
+                "--out", str(signal.with_suffix(".ewtc")),
+            )
+            assert (code, err) == (0, "")
+        csv_ewtc, raw_ewtc = (tmp_path / f"{kind}-signal.ewtc" for kind in ("csv", "raw"))
+        assert csv_ewtc.read_bytes() == raw_ewtc.read_bytes()
+
     def test_forward_rerun_byte_identical(self, capsys, config_path, signal_path, tmp_path):
         config = config_path(n_samples=256)
         sig, _ = signal_path(n=256)
@@ -363,6 +382,16 @@ class TestDetect:
         assert payload["boundaries"][0] == "-inf"
         assert payload["boundaries"][-1] == "+inf"
         assert len(payload["boundaries"]) == 6
+
+    def test_complex_two_tone_without_a_config_exits_1(self, capsys, tmp_path):
+        # two peaks give one cut, so the Vstar proposal lacks a negative side
+        t = np.arange(256)
+        x = np.exp(2j * np.pi * 40 * t / 256) + np.exp(-2j * np.pi * 90 * t / 256)
+        sig = tmp_path / "tones.csv"
+        write_signal_csv(sig, x)
+        code, out, err = run(capsys, "detect", "--signal", str(sig), "--peaks", "2")
+        assert code == 1
+        assert error_payload(out, err)["error"] == "VstarMissingSide"
 
     def test_too_many_peaks(self, capsys, tmp_path):
         rng = np.random.default_rng(9)

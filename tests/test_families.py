@@ -195,6 +195,40 @@ class TestMeyer:
                 assert np.all(product == 0.0)
 
 
+class TestEndsOfTheLine:
+    """Littlewood-Paley and Meyer at xi = -inf, +inf and NaN: a ray filter
+    holds its plateau value out to its infinite end, and every other value
+    is 0."""
+
+    @pytest.mark.parametrize(
+        "mode, values, families",
+        [
+            (*V_WITH_RAYS, ("littlewood-paley", "meyer")),
+            (*VSTAR_SCALED, ("littlewood-paley", "meyer")),
+            ("Vstar", (-INF, -1.0, 0.5, INF), ("littlewood-paley", "meyer")),
+            ("V", (-2.0, -1.0, 0.0, 1.0, 2.0), ("littlewood-paley",)),
+            ("Vstar", (-INF, -1.0, 0.5, 2.0), ("littlewood-paley",)),
+        ],
+    )
+    def test_ray_plateaus_reach_infinity(self, mode, values, families):
+        partition = build_partition(mode, values)
+        ends = np.array([-INF, INF, np.nan])
+        for family in families:
+            lp = family == "littlewood-paley"
+            params = FamilyParams(family, gamma=0.9 * partition.max_gamma() if lp else None)
+            for n in partition.support_indices:
+                s = partition.support(n)
+                # +-1e3 lie far beyond every boundary, on a ray's plateau
+                left = evaluate(partition, params, n, -1e3) if s.is_left_ray else 0j
+                right = evaluate(partition, params, n, 1e3) if s.is_right_ray else 0j
+                expected = [left, right, 0j]
+                assert evaluate(partition, params, n, ends).tolist() == expected
+                assert [evaluate(partition, params, n, x) for x in ends] == expected
+                if s.is_ray:
+                    plateau = left if s.is_left_ray else right
+                    assert (plateau == 1.0) if lp else (abs(plateau) > 0.0)
+
+
 class TestShannon:
     def test_compact_modulus(self, grid_partition):
         s = grid_partition.support(1)
@@ -448,6 +482,18 @@ class TestSamplingPlan:
             for side in ("left", "right"):
                 expected = int(np.searchsorted(ascending, v, side))
                 assert _position(grid, v, side) == expected, (v, side)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 4097])
+    def test_band_search_takes_an_array(self, n):
+        grid = FrequencyGrid(n)
+        big = np.finfo(float).max
+        # natural bin order, so the values are not sorted
+        values = np.array([*grid.xi, INF, -INF, big, -big, PI, -PI])
+        for side in ("left", "right"):
+            positions = _position(grid, values, side)
+            assert positions == [_position(grid, v, side) for v in values]
+            assert positions == np.searchsorted(grid.xi[grid.order], values, side).tolist()
+            assert all(type(p) is int for p in positions)
 
     def test_meyer_ramp_ending_on_a_bin(self):
         grid = FrequencyGrid(64)
