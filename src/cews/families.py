@@ -6,7 +6,7 @@ differ only in where its knots sit.
 Evaluators accept scalar or array frequencies, are defined on all of R, and
 are pure, so sampling a bank twice yields bit-identical spectra. Littlewood-
 Paley and Gabor filters are real-valued; every evaluator returns complex for
-API uniformity.
+API uniformity, but a sampled bank stores their band values as floats.
 """
 
 import math
@@ -71,8 +71,11 @@ class _Bands(NamedTuple):
     sampled bank ``rows[i]`` is ``(values, zero)``: the arrays filter i takes
     on the natural-order slices of band ``bands[i]``
     (``FrequencyGrid.run_slices``), and its out-of-band zero as a 1-element
-    array, None if the band is the whole row. For a dual, ``rows`` is a
-    :class:`_Quotients`."""
+    array, None if the band is the whole row. Values are float64 for the
+    real families, Littlewood-Paley and Gabor, each standing for the complex
+    value with imaginary part +0.0, and complex128 for Meyer and Shannon;
+    every zero is complex128. For a dual, ``rows`` is a :class:`_Quotients`,
+    whose values are real where the bank's are."""
 
     bands: tuple
     rows: tuple
@@ -87,17 +90,22 @@ class _Quotients(NamedTuple):
 
 
 def _divide(values, denom) -> np.ndarray:
-    """values / denom for a positive real denom. numpy divides a complex
-    number by a real S as (a + b*0) * (1/S), and 1/S overflows where S is
-    below the smallest normal float, so there both are scaled by 2^64 first,
-    which is exact; real and imaginary parts apart, since a complex times a
-    real is not."""
+    """values / denom for a positive real denom, complex or real as values
+    are. numpy divides a complex number by a real S as (a + b*0) * (1/S),
+    and 1/S overflows where S is below the smallest normal float, so there
+    both are scaled by 2^64 first, which is exact; real and imaginary parts
+    apart, since a complex times a real is not. Real values stand for
+    complex ones with imaginary part +0.0, and are divided by that same
+    formula, (a + 0.0) * (1/S), whose quotient has imaginary part +0.0 too:
+    a plain a / S would round differently."""
     small = denom < np.finfo(float).tiny
     if small.any():
         values, denom = values.copy(), denom.copy()
-        values.view(float).reshape(-1, 2)[small] *= 2.0**64
+        values.view(float).reshape(values.size, -1)[small] *= 2.0**64
         denom[small] *= 2.0**64
-    return values / denom
+    if values.dtype == complex:
+        return values / denom
+    return (values + 0.0) * (1.0 / denom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +124,9 @@ class FilterBank:
 
     Band rows are the storage: each row's band values and its zero, or, on a
     dual from ``dual_bank``, S and the bank, whose values it divides by S as
-    they are read. Every library function reads a bank through
+    they are read. A sampled Littlewood-Paley or Gabor bank and its duals
+    hold real band values (see :class:`_Bands`); ``spectra`` and the rows
+    that view them are complex. Every library function reads a bank through
     :meth:`_layout`, so none builds the dense ``spectra``. Their first read
     builds them; from then on they are an ordinary read-only instance
     attribute, which the band rows view. A bank built with a dense
@@ -412,14 +422,19 @@ def eval_gabor(partition: Partition, ray_option: str, n: int, xi):
     """
     if ray_option not in GABOR_RAY_OPTIONS:
         raise ValueError(f"ray_option must be one of {GABOR_RAY_OPTIONS}")
-    s = partition.support(n)
     x, scalar = _as_xi(xi)
+    return _finish(_gabor(partition, ray_option, n, x), scalar)
+
+
+def _gabor(partition: Partition, ray_option: str, n: int, x) -> np.ndarray:
+    """:func:`eval_gabor` at the frequencies of the 1-D array x, as real floats."""
+    s = partition.support(n)
     center, width = _gabor_scale(partition, n)
     out = gabor_mother((x - center) / width) / math.sqrt(width)
     if s.is_ray and ray_option == GABOR_RAY_EXTENDED:
         far = x <= center if s.is_left_ray else x >= center
         out[far] = 1.0 / math.sqrt(width)
-    return _finish(out, scalar)
+    return out
 
 
 # -- sampling --------------------------------------------------------------------
@@ -447,16 +462,16 @@ def _write(band, lo: int, first: int, stop: int, values, pref) -> None:
         np.multiply(pref, values, out=part)
 
 
-def _band_storage(grid: FrequencyGrid, bands) -> list:
-    """For each band (lo, hi): ``(buffer, pieces)``, a zeroed array for the
-    row's values at sorted positions lo, ..., hi - 1 and its views on the
-    natural-order slices of ``grid.run_slices(lo, hi)``. Every buffer is a
-    view of one array, so that a bank's band storage is one allocation,
+def _band_storage(grid: FrequencyGrid, bands, dtype) -> list:
+    """For each band (lo, hi): ``(buffer, pieces)``, a zeroed ``dtype`` array
+    for the row's values at sorted positions lo, ..., hi - 1 and its views on
+    the natural-order slices of ``grid.run_slices(lo, hi)``. Every buffer is
+    a view of one array, so that a bank's band storage is one allocation,
     which freed leaves one hole for the allocator to reuse, not one per row.
     """
     stops = np.cumsum([hi - lo for lo, hi in bands])
     storage = []
-    for buffer, (lo, hi) in zip(np.split(np.zeros(stops[-1], dtype=complex), stops[:-1]), bands):
+    for buffer, (lo, hi) in zip(np.split(np.zeros(stops[-1], dtype), stops[:-1]), bands):
         sizes = [sl.stop - sl.start for sl in grid.run_slices(lo, hi)]
         storage.append((buffer, tuple(np.split(buffer, sizes[:-1])) if sizes else ()))
     return storage
@@ -484,17 +499,17 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
     half-open prefix of the run. Writes go plateau, fall, rise, as in
     :func:`_bump`. Meyer values are times the filter's prefactor, and outside
     its band a Meyer row holds the prefactor times 0; a Littlewood-Paley row
-    holds +0.0 there.
+    holds +0.0 there, and its band values are stored as real floats.
     """
     if params.family == LITTLEWOOD_PALEY:
         gamma = _check_gamma(partition, params.gamma)
         ramps = [_lp_ramp(partition, gamma, v) for v in partition.boundaries]
-        prefactors = [None] * len(partition.supports)
+        prefactors, dtype = [None] * len(partition.supports), float
     else:
         centers = _meyer_centers(partition)
         plans = [_meyer_ramps(centers, pos) for pos in range(len(centers))]
         ramps = [rise for rise, _, _ in plans] + [_NO_FALL]
-        prefactors = [pref for _, _, pref in plans]
+        prefactors, dtype = [pref for _, _, pref in plans], complex
     n_bins = grid.n_samples
     # each ramp's sorted positions: start, stop if half-open, stop if closed
     starts, stops = np.array(ramps)[:, :2].T
@@ -504,7 +519,7 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
     bands = [(rise[0], fall[2]) for rise, fall in zip(runs, runs[1:])]
     rows = []
     for i, (pref, (lo, hi), (band, pieces)) in enumerate(
-        zip(prefactors, bands, _band_storage(grid, bands))
+        zip(prefactors, bands, _band_storage(grid, bands, dtype))
     ):
         rise, fall = runs[i], runs[i + 1]
         # a plateau bin on the fall's start takes the fall's 1.0 instead
@@ -524,15 +539,18 @@ def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGr
     evaluator on its band and, as its zero, its evaluator at the first bin
     outside the band (+0.0 for both families, but the evaluator runs there
     anyway: with a tiny width, Gabor's (xi - center) / width overflows, and
-    that must raise or warn as it does on the whole row)."""
+    that must raise or warn as it does on the whole row). Gabor's band
+    values are stored as the real floats its evaluator computes; every
+    zero is complex."""
     plans = []
+    dtype = complex if params.family == SHANNON else float
     for n in partition.support_indices:
         s = partition.support(n)
         if params.family == SHANNON:
             evaluate = partial(eval_shannon, partition, n)
             lo, hi = _position(grid, s.lo, "left"), _position(grid, s.hi, "left")
         else:
-            evaluate = partial(eval_gabor, partition, params.gabor_rays, n)
+            evaluate = partial(_gabor, partition, params.gabor_rays, n)
             center, width = _gabor_scale(partition, n)
             first, last = center - GABOR_REACH * width, center + GABOR_REACH * width
             if params.gabor_rays == GABOR_RAY_EXTENDED:
@@ -542,9 +560,9 @@ def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGr
         plans.append((evaluate, (lo, hi)))
     bands = [band for _, band in plans]
     rows = []
-    for (evaluate, (lo, hi)), (_, pieces) in zip(plans, _band_storage(grid, bands)):
+    for (evaluate, (lo, hi)), (_, pieces) in zip(plans, _band_storage(grid, bands, dtype)):
         first_out = grid.run_slices(hi, hi + 1)[0]
-        zero = evaluate(grid.xi[first_out]) if hi - lo < grid.n_samples else None
+        zero = evaluate(grid.xi[first_out]).astype(complex) if hi - lo < grid.n_samples else None
         for piece, sl in zip(pieces, grid.run_slices(lo, hi)):
             piece[...] = evaluate(grid.xi[sl])
         rows.append((pieces, zero))

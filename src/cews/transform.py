@@ -47,7 +47,7 @@ def forward(signal, bank: FilterBank) -> EwtCoefficients:
         # numpy rounds a one-element product taken in place differently from
         # its vector loop, so one cell keeps the whole-array formula's bits
         _, values, zero = next(bank._layout())
-        rows = np.conj(values[0] if values else zero)[None]
+        rows = _conj(values[0] if values else zero)[None]
         np.multiply(spectrum[None, :], rows, out=rows)
     else:
         rows = _products(spectrum, bank)
@@ -76,8 +76,20 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
         if zero is not None:
             np.multiply(spectrum, np.conj(zero), out=out)
         for sl, part in zip(band, values):
-            np.multiply(spectrum[sl], np.conj(part), out=out[sl])
+            np.multiply(spectrum[sl], _conj(part), out=out[sl])
     return rows
+
+
+def _conj(values) -> np.ndarray:
+    """conj(values) as a new complex array. Real band values stand for
+    complex ones with imaginary part +0.0, so their conjugate is (c, -0.0):
+    multiplying by the float c itself would take it as (c, +0.0), and flip
+    the sign of a product's zero part."""
+    if values.dtype == complex:
+        return np.conj(values)
+    out = np.empty(values.shape, complex)
+    out.real, out.imag = values, -0.0
+    return out
 
 
 def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular: bool = False) -> FilterBank:
@@ -155,7 +167,8 @@ def inverse(coeffs: EwtCoefficients, dual: FilterBank) -> np.ndarray:
     For coeffs = forward(f, bank) and dual = dual_bank(bank) this recovers f
     exactly on every bin outside ``dual.singular_bins``.
     """
-    return np.fft.ifft(_accumulate(coeffs, dual))
+    acc = _accumulate(coeffs, dual)
+    return np.fft.ifft(acc, out=acc)
 
 
 def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float = 1.0) -> np.ndarray:
@@ -169,4 +182,5 @@ def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float 
     if not 0.0 < a < np.inf:
         raise NonPositiveA(f"frame bound must be finite and > 0, got {a}")
     # _divide assigns into its divisor by index, so A goes in as a 0-d array
-    return np.fft.ifft(_divide(_accumulate(coeffs, bank), np.array(a)))
+    acc = _divide(_accumulate(coeffs, bank), np.array(a))
+    return np.fft.ifft(acc, out=acc)

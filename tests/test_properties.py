@@ -237,9 +237,10 @@ def layout_rule_holds(bank):
     hold the bins of ``bank.bands`` in ascending xi, band and rest of the row
     cover every bin once, the band values are the row on the band, and the
     zero is the value of every bin of the rest, singular or not; every
-    singular bin holds a zero in every row. The layout is taken from band
-    storage, and read again once ``spectra`` are built: then it is views of
-    them."""
+    singular bin holds a zero in every row. Real band values stand for
+    complex ones with imaginary part +0.0. The layout is taken from band
+    storage, and read again once ``spectra`` are built: then it is complex
+    views of them."""
     grid = bank.grid
     rows = list(bank._layout())
     spectra = bank.spectra
@@ -253,7 +254,7 @@ def layout_rule_holds(bank):
         out_bins = ring[hi - lo :]
         assert [b for sl in band for b in range(sl.start, sl.stop)] == ring[: hi - lo]
         for sl, part in zip(band, values):
-            assert part.tobytes() == row[sl].tobytes()
+            assert np.asarray(part, complex).tobytes() == row[sl].tobytes()
         assert (zero is None) == (not out_bins)
         if out_bins:
             assert zero.shape == (1,) and zero[0] == 0.0
@@ -261,6 +262,7 @@ def layout_rule_holds(bank):
     assert (spectra[:, list(bank.singular_bins)] == 0.0).all()
     for _, values, zero in bank._layout():
         assert all(np.shares_memory(part, spectra) for part in values)
+        assert all(part.dtype == complex for part in values)
         assert zero is None or np.shares_memory(zero, spectra)
 
 
@@ -290,6 +292,13 @@ def test_every_bank_holds_its_layout(case, family):
             # the dual's squared sum may overflow where S is tiny
             with np.errstate(over="ignore"):
                 banks += [dual, dual_bank(dual, epsilon, allow_singular=True)]
+    # Littlewood-Paley and Gabor filters are real: their sampled band values,
+    # and their duals' quotients, are real floats until spectra are read
+    real = family == "littlewood-paley" or family.startswith("gabor-")
+    for b in banks:
+        for _, values, zero in b._layout():
+            assert all(part.dtype == (float if real else complex) for part in values)
+            assert zero is None or zero.dtype == complex
     for b in banks:
         layout_rule_holds(b)
 

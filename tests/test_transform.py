@@ -69,6 +69,38 @@ class TestForward:
         expected = np.fft.ifft(np.fft.fft(x)[None, :] * np.conj(bank.spectra), axis=1)
         assert forward(x, bank).rows.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n_samples", [8, 64, 1000])
+    @pytest.mark.parametrize(
+        "mode, boundaries",
+        [("V", (-INF, -1.0, 0.0, 0.5, INF)), ("Vstar", (-INF, -1.0, 0.5, INF))],
+    )
+    @pytest.mark.parametrize(
+        "family, kwargs",
+        [
+            pytest.param("littlewood-paley", {}, id="littlewood-paley"),
+            pytest.param("gabor", {"gabor_rays": "extended"}, id="gabor"),
+            pytest.param("gabor", {"gabor_rays": "local"}, id="gabor-local"),
+        ],
+    )
+    def test_conjugate_signs_at_exact_zeros(self, mode, boundaries, n_samples, family, kwargs):
+        # where the spectrum or the filter is exactly 0, the signs of the
+        # products' zeros tell conj(c + 0j) = (c, -0.0) from (c, +0.0);
+        # a random complex signal has no such bins. Spectra are read only
+        # after forward ran on the band storage
+        bank = make_bank(build_partition(mode, boundaries), family, n_samples, **kwargs)
+        t = np.arange(n_samples)
+        signals = [
+            np.zeros(n_samples),
+            np.ones(n_samples),
+            -np.ones(n_samples),
+            np.full(n_samples, -0.0),
+            np.cos(2 * np.pi * 3 * t / n_samples),
+        ]
+        rows = [forward(x, bank).rows.tobytes() for x in signals]
+        for x, got in zip(signals, rows):
+            expected = np.fft.ifft(np.fft.fft(x) * np.conj(bank.spectra), axis=1)
+            assert got == expected.tobytes()
+
     def test_allpass_returns_signal(self):
         x = random_signal(64, seed=1)
         assert allpass_bank(64).bands == ((0, 64),)
@@ -196,6 +228,24 @@ class TestDualBank:
         zero = np.array([real, imag]).view(complex)
         divisors = (5e-324, 1e-310, np.finfo(float).tiny, 1.0, 1e300, np.inf)
         assert len({_divide(zero, np.array([s])).tobytes() for s in divisors}) == 1
+
+    def test_real_values_divide_as_their_complex_values(self):
+        # a real band value c stands for (c, +0.0); its quotient is real, and
+        # (c + 0.0) * (1/S), numpy's complex-by-real formula, not c / S. As in
+        # a dual, |c| <= sqrt(S), so that no quotient overflows
+        rng = np.random.default_rng(0)
+        denom = rng.uniform(0.1, 10.0, 64)
+        denom[rng.integers(4, 64, size=12)] = rng.choice([5e-324, 1e-310, 2.2e-308, np.inf], size=12)
+        denom[:4] = 5e-324, 1e-310, np.inf, 3.0
+        values = rng.standard_normal(64) * np.sqrt(np.minimum(denom, 1.0))
+        values[:4] = 0.0, -0.0, -1.0, 1.0
+        with np.errstate(all="raise"):
+            got = _divide(values, denom)
+        assert got.dtype == float
+        assert got.astype(complex).tobytes() == _divide(values.astype(complex), denom).tobytes()
+        # at normal S too, one rounding differs from two somewhere
+        normal = denom >= np.finfo(float).tiny
+        assert got[normal].tobytes() != (values[normal] / denom[normal]).tobytes()
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
