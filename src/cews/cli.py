@@ -2,7 +2,7 @@
 
 Subcommands: filters | forward | inverse | roundtrip | frame | detect.
 Exit codes: 0 success, 1 math/validation error, overflow or failed allocation,
-2 I/O or parse error; errors are reported as one-line JSON objects on stderr.
+2 I/O, parse or command-line error; each error is one JSON line on stderr.
 """
 
 import argparse
@@ -20,83 +20,70 @@ from .partition import build_partition
 from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
 
 
-def _add_common(
-    sub, *, config=True, signal=False, coef=False, out=False, out_required=False, reconstruct=False
-):
-    if config:
-        sub.add_argument("--config", required=True, help="job config JSON path")
-        sub.add_argument(
-            "--n-samples", type=int, default=None, help="override the config grid size"
-        )
-        sub.add_argument(
-            "--hz",
-            type=float,
-            default=None,
-            metavar="RATE",
-            help="config boundaries are Hz for this sample rate; convert on load",
-        )
-    if signal:
-        sub.add_argument("--signal", required=True, help="input signal path")
-        sub.add_argument(
-            "--raw",
-            action="store_true",
-            help="signal file is raw little-endian float64 instead of CSV",
-        )
-    if coef:
-        sub.add_argument("--coef", required=True, help="coefficient file path")
-    if out:
-        sub.add_argument(
-            "--out", required=out_required, default=None, help="output file path"
-        )
-    if reconstruct:
-        sub.add_argument("--allow-singular", action="store_true", help="zero-fill singular bins")
-        sub.add_argument(
-            "--tight",
-            type=float,
-            default=None,
-            metavar="A",
-            help="reconstruct with the analysis filters scaled by 1/A instead of the dual bank",
-        )
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error, so that it prints as one JSON line too."""
+
+    def error(self, message):
+        raise InputFormatError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    job, signal, coef, out, maybe_out, recon = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    job.add_argument("--config", required=True, help="job config JSON path")
+    job.add_argument("--n-samples", type=int, help="override the config grid size")
+    job.add_argument(
+        "--hz",
+        type=float,
+        metavar="RATE",
+        help="config boundaries are Hz for this sample rate; convert on load",
+    )
+    signal.add_argument("--signal", required=True, help="input signal path")
+    signal.add_argument(
+        "--raw", action="store_true", help="signal file is raw little-endian float64 instead of CSV"
+    )
+    coef.add_argument("--coef", required=True, help="coefficient file path")
+    out.add_argument("--out", required=True, help="output file path")
+    maybe_out.add_argument("--out", help="output file path")
+    recon.add_argument("--allow-singular", action="store_true", help="zero-fill singular bins")
+    recon.add_argument(
+        "--tight",
+        type=float,
+        metavar="A",
+        help="reconstruct with the analysis filters scaled by 1/A instead of the dual bank",
+    )
+
+    parser = _Parser(
         prog="cews",
         description="Empirical wavelet filter banks on data-driven frequency "
         "partitions: sampling, analysis, exact reconstruction and frame reports.",
     )
+    parser.set_defaults(allow_singular=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("filters", help="write the sampled filter bank as CSV")
-    _add_common(p, out=True, out_required=True)
-    p.set_defaults(func=cmd_filters)
-
-    p = sub.add_parser("forward", help="transform a signal into coefficients")
-    _add_common(p, signal=True, out=True, out_required=True)
-    p.set_defaults(func=cmd_forward)
-
-    p = sub.add_parser("inverse", help="reconstruct a signal from coefficients")
-    _add_common(p, coef=True, out=True, out_required=True, reconstruct=True)
-    p.set_defaults(func=cmd_inverse)
-
-    p = sub.add_parser("roundtrip", help="forward + inverse, report the error as JSON")
-    _add_common(p, signal=True, reconstruct=True)
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("frame", help="frame bounds and filter norms as JSON")
-    _add_common(p, out=True)
-    p.add_argument(
+    # built per call, not at import, so that main dispatches to a patched cmd_*
+    for name, summary, groups, func in (
+        ("filters", "write the sampled filter bank as CSV", [job, out], cmd_filters),
+        ("forward", "transform a signal into coefficients", [job, signal, out], cmd_forward),
+        ("inverse", "reconstruct a signal from coefficients", [job, coef, out, recon], cmd_inverse),
+        (
+            "roundtrip",
+            "forward + inverse, report the error as JSON",
+            [job, signal, recon],
+            cmd_roundtrip,
+        ),
+        ("frame", "frame bounds and filter norms as JSON", [job, maybe_out], cmd_frame),
+        ("detect", "propose partition boundaries from a signal", [signal, maybe_out], cmd_detect),
+    ):
+        sub.add_parser(name, help=summary, parents=groups).set_defaults(func=func)
+    sub.choices["frame"].add_argument(
         "--sum-squares",
         action="store_true",
         help="include the full per-bin squared filter sum (large)",
     )
-    p.set_defaults(func=cmd_frame)
-
-    p = sub.add_parser("detect", help="propose partition boundaries from a signal")
-    _add_common(p, config=False, signal=True, out=True)
-    p.add_argument("--peaks", type=int, required=True, metavar="K", help="number of peaks")
-    p.set_defaults(func=cmd_detect)
-
+    sub.choices["detect"].add_argument(
+        "--peaks", type=int, required=True, metavar="K", help="number of peaks"
+    )
     return parser
 
 
@@ -105,7 +92,7 @@ def _load_job(args):
     config = formats.load_config(args.config, n_samples_override=args.n_samples)
     if args.hz is not None:
         config = formats.convert_hz(config, args.hz)
-    if getattr(args, "allow_singular", False):
+    if args.allow_singular:
         config = replace(config, allow_singular=True)
     return config, formats.realize_bank(config)
 
@@ -233,16 +220,12 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # overflow and NaN abort the command; Gabor tails underflow by design
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, OSError) as exc:
         return _fail(exc, 2)
-    except EwtError as exc:
-        return _fail(exc, 1)
-    except OSError as exc:
-        return _fail(exc, 2)
-    except (FloatingPointError, MemoryError) as exc:
+    except (EwtError, FloatingPointError, MemoryError) as exc:
         return _fail(exc, 1)

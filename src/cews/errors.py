@@ -84,4 +84,4 @@ class FewerPeaksThanRequested(EwtError):
 # -- file ingestion -----------------------------------------------------------
 
 class InputFormatError(EwtError):
-    """Malformed config, signal or coefficient input (exit code 2 at the CLI)."""
+    """Malformed command line, config, signal or coefficient input (exit code 2 at the CLI)."""

@@ -24,6 +24,110 @@ LP_CONFIG = {
 }
 
 
+# `cews [COMMAND] --help` at COLUMNS=100, byte for byte. Commands share argument
+# groups, so this pins each command's options, their order and their help.
+HELP = {
+    "": """\
+usage: cews [-h] {filters,forward,inverse,roundtrip,frame,detect} ...
+
+Empirical wavelet filter banks on data-driven frequency partitions: sampling, analysis, exact
+reconstruction and frame reports.
+
+positional arguments:
+  {filters,forward,inverse,roundtrip,frame,detect}
+    filters             write the sampled filter bank as CSV
+    forward             transform a signal into coefficients
+    inverse             reconstruct a signal from coefficients
+    roundtrip           forward + inverse, report the error as JSON
+    frame               frame bounds and filter norms as JSON
+    detect              propose partition boundaries from a signal
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "filters": """\
+usage: cews filters [-h] --config CONFIG [--n-samples N_SAMPLES] [--hz RATE] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       job config JSON path
+  --n-samples N_SAMPLES
+                        override the config grid size
+  --hz RATE             config boundaries are Hz for this sample rate; convert on load
+  --out OUT             output file path
+""",
+    "forward": """\
+usage: cews forward [-h] --config CONFIG [--n-samples N_SAMPLES] [--hz RATE] --signal SIGNAL
+                    [--raw] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       job config JSON path
+  --n-samples N_SAMPLES
+                        override the config grid size
+  --hz RATE             config boundaries are Hz for this sample rate; convert on load
+  --signal SIGNAL       input signal path
+  --raw                 signal file is raw little-endian float64 instead of CSV
+  --out OUT             output file path
+""",
+    "inverse": """\
+usage: cews inverse [-h] --config CONFIG [--n-samples N_SAMPLES] [--hz RATE] --coef COEF --out OUT
+                    [--allow-singular] [--tight A]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       job config JSON path
+  --n-samples N_SAMPLES
+                        override the config grid size
+  --hz RATE             config boundaries are Hz for this sample rate; convert on load
+  --coef COEF           coefficient file path
+  --out OUT             output file path
+  --allow-singular      zero-fill singular bins
+  --tight A             reconstruct with the analysis filters scaled by 1/A instead of the dual
+                        bank
+""",
+    "roundtrip": """\
+usage: cews roundtrip [-h] --config CONFIG [--n-samples N_SAMPLES] [--hz RATE] --signal SIGNAL
+                      [--raw] [--allow-singular] [--tight A]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       job config JSON path
+  --n-samples N_SAMPLES
+                        override the config grid size
+  --hz RATE             config boundaries are Hz for this sample rate; convert on load
+  --signal SIGNAL       input signal path
+  --raw                 signal file is raw little-endian float64 instead of CSV
+  --allow-singular      zero-fill singular bins
+  --tight A             reconstruct with the analysis filters scaled by 1/A instead of the dual
+                        bank
+""",
+    "frame": """\
+usage: cews frame [-h] --config CONFIG [--n-samples N_SAMPLES] [--hz RATE] [--out OUT]
+                  [--sum-squares]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       job config JSON path
+  --n-samples N_SAMPLES
+                        override the config grid size
+  --hz RATE             config boundaries are Hz for this sample rate; convert on load
+  --out OUT             output file path
+  --sum-squares         include the full per-bin squared filter sum (large)
+""",
+    "detect": """\
+usage: cews detect [-h] --signal SIGNAL [--raw] [--out OUT] --peaks K
+
+options:
+  -h, --help       show this help message and exit
+  --signal SIGNAL  input signal path
+  --raw            signal file is raw little-endian float64 instead of CSV
+  --out OUT        output file path
+  --peaks K        number of peaks
+""",
+}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     def write(**overrides):
@@ -639,18 +743,83 @@ class TestFlags:
             "analysis filters scaled by 1/A instead of the dual bank"
         )
 
-def test_module_entry_point(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**LP_CONFIG, "n_samples": 8}))
-    out = tmp_path / "filters.csv"
-    # the child must import the package under test, wherever pytest found it
+# argparse's own messages, as one JSON line instead of usage text
+USAGE_ERRORS = [
+    (["inverse", "--config", "x"], "the following arguments are required: --coef, --out"),
+    (
+        ["filters", "--config", "x", "--out", "y", "--n-samples", "abc"],
+        "argument --n-samples: invalid int value: 'abc'",
+    ),
+    (
+        ["inverse", "--config", "x", "--coef", "c", "--out", "o", "--tight", "nope"],
+        "argument --tight: invalid float value: 'nope'",
+    ),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 0
+        assert captured.err == ""
+        assert captured.out == HELP[command]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        USAGE_ERRORS,
+        ids=["missing-required", "bad-int", "bad-float", "unknown-command", "no-command"],
+    )
+    def test_usage_error_is_one_json_line(self, capsys, argv, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        payload = error_payload(out, err)
+        assert payload["error"] == "InputFormatError"
+        # the list of choices is quoted differently across Python versions
+        assert payload["message"].startswith(message)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dispatch_reads_the_command_at_call_time(self, capsys, monkeypatch):
+        # the benchmark's traced run times the commands by patching cmd_*
+        seen = []
+        monkeypatch.setattr(cews.cli, "cmd_frame", lambda args: seen.append(args.config) or 0)
+        assert run(capsys, "frame", "--config", "job.json") == (0, "", "")
+        assert seen == ["job.json"]
+
+
+def run_module(*argv):
+    """`python -m cews ARGV` in a child that imports the package under test,
+    wherever pytest found it."""
     src = str(Path(cews.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cews", "filters", "--config", str(config), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-m", "cews", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**LP_CONFIG, "n_samples": 8}))
+    out = tmp_path / "filters.csv"
+    proc = run_module("filters", "--config", str(config), "--out", str(out))
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_module_entry_point_usage_error():
+    proc = run_module("inverse", "--config", "x")
+    assert proc.returncode == 2
+    payload = error_payload(proc.stdout, proc.stderr)
+    assert payload == {
+        "error": "InputFormatError",
+        "message": "the following arguments are required: --coef, --out",
+    }
