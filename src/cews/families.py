@@ -11,7 +11,7 @@ API uniformity, but a sampled bank stores their band values as floats.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,21 +66,6 @@ class FamilyParams:
             raise ValueError(f"gabor_rays must be one of {GABOR_RAY_OPTIONS}")
 
 
-class _Bands(NamedTuple):
-    """Band storage, handed to ``FilterBank`` as its ``spectra``. For a
-    sampled bank ``rows[i]`` is ``(values, zero)``: the arrays filter i takes
-    on the natural-order slices of band ``bands[i]``
-    (``FrequencyGrid.run_slices``), and its out-of-band zero as a 1-element
-    array, None if the band is the whole row. Values are float64 for the
-    real families, Littlewood-Paley and Gabor, each standing for the complex
-    value with imaginary part +0.0, and complex128 for Meyer and Shannon;
-    every zero is complex128. For a dual, ``rows`` is a :class:`_Quotients`,
-    whose values are real where the bank's are."""
-
-    bands: tuple
-    rows: tuple
-
-
 class _Quotients(NamedTuple):
     """The rows of a dual bank, as ``FilterBank._layout`` reads them: those
     of ``bank`` divided by ``denom``, S with +inf at its singular bins."""
@@ -122,47 +107,50 @@ class FilterBank:
     run in natural bin order. Outside its band, row i holds one constant
     signed zero.
 
-    Band rows are the storage: each row's band values and its zero, or, on a
-    dual from ``dual_bank``, S and the bank, whose values it divides by S as
-    they are read. A sampled Littlewood-Paley or Gabor bank and its duals
-    hold real band values (see :class:`_Bands`); ``spectra`` and the rows
-    that view them are complex. Every library function reads a bank through
-    :meth:`_layout`, so none builds the dense ``spectra``. Their first read
-    builds them; from then on they are an ordinary read-only instance
-    attribute, which the band rows view. A bank built with a dense
-    ``spectra``, by hand or by ``dataclasses.replace``, has whole-row bands
-    whose rows view that array. ``bands`` is not a constructor argument.
+    A bank is built from its band storage only, ``bands`` and ``rows``.
+    ``rows[i]`` is ``(values, zero)``: the arrays filter i takes on the
+    natural-order slices of its band, and its out-of-band zero as a
+    1-element array, None if the band is the whole row. Values are float64
+    for a sampled Littlewood-Paley or Gabor bank, each standing for the
+    complex value with imaginary part +0.0, and complex128 otherwise; every
+    zero is complex128. On a dual from ``dual_bank``, ``rows`` is a
+    :class:`_Quotients`, the bank and S, and the bank's values are divided
+    by S as they are read. Every library function reads a bank through
+    :meth:`_layout`, so none builds the dense ``spectra``, and
+    ``dataclasses.replace`` copies the rows and builds nothing.
+
+    ``spectra`` is a read-only view, built on first read and cached. That
+    read points the rows at slices of it, which frees the band values: a
+    bank and its spectra never hold the values twice. So a caller that
+    reads the spectra of a large bank holds one dense array; without the
+    re-pointing, the design benchmark's ``peak_rss_mb`` rose past its bound.
     """
 
     partition: Partition
     params: FamilyParams
     grid: FrequencyGrid
-    spectra: np.ndarray = field(repr=False)
+    bands: tuple = field(repr=False)
+    rows: tuple = field(repr=False)
     support_indices: tuple
     singular_bins: tuple = ()
-    bands: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        spectra = vars(self).pop("spectra")  # a _Bands, or a dense array to cache
-        if isinstance(spectra, _Bands):
-            object.__setattr__(self, "bands", tuple(spectra.bands))
-            object.__setattr__(self, "_storage", spectra.rows)
-        else:
-            spectra = np.asarray(spectra)
-            object.__setattr__(self, "bands", ((0, self.grid.n_samples),) * len(spectra))
-            self._cache(spectra)
-
-    def __getattr__(self, name):
-        """Only names that normal lookup misses get here: ``spectra`` before
-        its first read, which builds them from the band storage, read-only,
-        and caches them; any other name is missing."""
-        if name != "spectra":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        spectra = np.zeros((len(self.bands), self.grid.n_samples), dtype=complex)
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """The K×N filters, read-only (see the class docstring)."""
+        grid = self.grid
+        spectra = np.zeros((len(self.bands), grid.n_samples), dtype=complex)
         for row, layout in zip(spectra, self._layout()):
             _fill(row, *layout)
         spectra.setflags(write=False)
-        self._cache(spectra)
+        # each row's values on its band, and the bin after the band as its zero
+        rows = tuple(
+            (
+                tuple(row[sl] for sl in grid.run_slices(lo, hi)),
+                None if hi - lo == grid.n_samples else row[grid.run_slices(hi, hi + 1)[0]],
+            )
+            for row, (lo, hi) in zip(spectra, self.bands)
+        )
+        object.__setattr__(self, "rows", rows)
         return spectra
 
     def _layout(self):
@@ -172,30 +160,14 @@ class FilterBank:
         the band is the whole row. A dual's zero is the bank's divided by S
         at bin 0: a signed zero over any positive S is one signed zero.
         """
-        storage = self._storage
-        if isinstance(storage, _Quotients):
-            bank, denom = storage
+        if isinstance(self.rows, _Quotients):
+            bank, denom = self.rows
             for band, values, zero in bank._layout():
                 values = tuple(_divide(part, denom[sl]) for sl, part in zip(band, values))
                 yield band, values, None if zero is None else _divide(zero, denom[:1])
             return
-        for (lo, hi), (values, zero) in zip(self.bands, storage):
+        for (lo, hi), (values, zero) in zip(self.bands, self.rows):
             yield self.grid.run_slices(lo, hi), values, zero
-
-    def _cache(self, spectra) -> None:
-        """Set ``spectra`` on the instance, so later reads are plain lookups,
-        and point the band rows at views of them: each row's values on its
-        band, and the bin after the band as its zero, None for a whole row."""
-        grid = self.grid
-        rows = tuple(
-            (
-                tuple(row[sl] for sl in grid.run_slices(lo, hi)),
-                None if hi - lo == grid.n_samples else row[grid.run_slices(hi, hi + 1)[0]],
-            )
-            for row, (lo, hi) in zip(spectra, self.bands)
-        )
-        object.__setattr__(self, "spectra", spectra)
-        object.__setattr__(self, "_storage", rows)
 
 
 def _fill(row, band, values, zero) -> None:
@@ -489,7 +461,7 @@ def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
     return HALF_PI * beta((x - start) / width)
 
 
-def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> _Bands:
+def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> tuple:
     """The bands and band storage of a Littlewood-Paley or Meyer bank.
 
     Filter i rises on ramp i and falls on ramp i + 1, the ramp filter i + 1
@@ -531,10 +503,10 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
         if hi - lo < n_bins:
             zero = np.zeros(1, dtype=complex) if pref is None else pref * np.zeros(1)
         rows.append((pieces, zero))
-    return _Bands(tuple(bands), tuple(rows))
+    return tuple(bands), tuple(rows)
 
 
-def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> _Bands:
+def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> tuple:
     """The bands and band storage of a Shannon or Gabor bank: each row its
     evaluator on its band and, as its zero, its evaluator at the first bin
     outside the band (+0.0 for both families, but the evaluator runs there
@@ -566,7 +538,7 @@ def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGr
         for piece, sl in zip(pieces, grid.run_slices(lo, hi)):
             piece[...] = evaluate(grid.xi[sl])
         rows.append((pieces, zero))
-    return _Bands(tuple(bands), tuple(rows))
+    return tuple(bands), tuple(rows)
 
 
 def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> FilterBank:
@@ -588,14 +560,13 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
     for v in partition.boundaries:
         if math.isfinite(v) and not (-math.pi < v < math.pi):
             raise BoundaryOutsideGrid(f"finite boundary {v} is outside (-pi, pi)")
-    if params.family in (LITTLEWOOD_PALEY, MEYER):
-        spectra = _sample_bumps(partition, params, grid)
-    else:
-        spectra = _sample_direct(partition, params, grid)
+    sample = _sample_bumps if params.family in (LITTLEWOOD_PALEY, MEYER) else _sample_direct
+    bands, rows = sample(partition, params, grid)
     return FilterBank(
         partition=partition,
         params=params,
         grid=grid,
-        spectra=spectra,
+        bands=bands,
+        rows=rows,
         support_indices=partition.support_indices,
     )

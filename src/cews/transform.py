@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, _Bands, _Quotients, _divide, _fill
+from .families import FilterBank, _Quotients, _divide, _fill
 from .frame_analysis import DEFAULT_EPSILON, _energy, check_epsilon
 
 
@@ -121,11 +121,7 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         denom = denom.copy()
         denom[bins] = np.inf
         denom.setflags(write=False)
-    return replace(
-        bank,
-        spectra=_Bands(bank.bands, _Quotients(bank, denom)),
-        singular_bins=tuple(int(b) for b in bins),
-    )
+    return replace(bank, rows=_Quotients(bank, denom), singular_bins=tuple(int(b) for b in bins))
 
 
 def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 # When a property fails, hypothesis's report hook imports this module, and
 # with it libcst, whose import raises a DeprecationWarning. Under
@@ -15,8 +16,8 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-from cews import build_partition, eval_lp
-from cews.families import _Bands, eval_gabor, eval_meyer, eval_shannon
+from cews import FamilyParams, FrequencyGrid, build_partition, eval_lp
+from cews.families import eval_gabor, eval_meyer, eval_shannon
 
 PI = math.pi
 INF = math.inf
@@ -28,6 +29,37 @@ EXAMPLE_BOUNDS = (-INF, -3 * PI, -PI, -PI / 3, PI / 2, 3 * PI / 2, 2 * PI, INF)
 
 def scaled_bounds(scale=0.25, bounds=EXAMPLE_BOUNDS):
     return tuple(v * scale if math.isfinite(v) else v for v in bounds)
+
+
+# finite boundaries on one side of zero, as magnitudes
+side = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3, unique=True)
+
+ALL_FAMILIES = st.sampled_from(
+    ["littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended"]
+)
+
+
+@st.composite
+def partitions_on_grid(draw, sizes=st.integers(1, 400) | st.integers(1, 8192)):
+    """(partition, grid): V or Vstar, 1-3 finite boundaries on each side of
+    zero at least 0.02 apart, each ray present or not, and a grid of
+    ``sizes`` bins."""
+    mode = draw(st.sampled_from(["V", "Vstar"]))
+    finite = sorted(-v for v in draw(side)) + ([0.0] if mode == "V" else []) + sorted(draw(side))
+    assume(min(b - a for a, b in zip(finite, finite[1:])) >= 0.02)
+    left, right = draw(st.booleans()), draw(st.booleans())
+    partition = build_partition(mode, [-INF] * left + finite + [INF] * right)
+    return partition, FrequencyGrid(draw(sizes))
+
+
+def make_params(partition, family):
+    """The FamilyParams of an ``ALL_FAMILIES`` name; Littlewood-Paley at
+    0.9 * max_gamma, the CLI's default gamma."""
+    if family == "littlewood-paley":
+        return FamilyParams(family, gamma=0.9 * partition.max_gamma())
+    if family.startswith("gabor-"):
+        return FamilyParams("gabor", gabor_rays=family.split("-")[1])
+    return FamilyParams(family)
 
 
 @pytest.fixture
@@ -89,7 +121,18 @@ def with_bands(bank, bands):
     for row, (lo, hi) in zip(bank.spectra, bands):
         zero = row[grid.run_slices(hi, hi + 1)[0]].copy() if hi - lo < n else None
         rows.append((tuple(row[sl].copy() for sl in grid.run_slices(lo, hi)), zero))
-    return replace(bank, spectra=_Bands(tuple(bands), tuple(rows)))
+    return replace(bank, bands=tuple(bands), rows=tuple(rows))
+
+
+def whole_rows(spectra, grid):
+    """A dense K×N array as ``FilterBank`` band storage, keyword arguments
+    for the constructor or ``dataclasses.replace``: every band is the whole
+    row, and each row's values are views of its row of ``spectra``."""
+    n = grid.n_samples
+    return {
+        "bands": ((0, n),) * len(spectra),
+        "rows": tuple((tuple(row[sl] for sl in grid.run_slices(0, n)), None) for row in spectra),
+    }
 
 
 def holds_dense(bank):

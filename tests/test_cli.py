@@ -1,20 +1,42 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cews
 import cews.io
-from cews import FamilyParams, FrequencyGrid, build_partition, forward, sample_bank
+from cews import (
+    FamilyParams,
+    FrequencyGrid,
+    build_partition,
+    dual_bank,
+    forward,
+    frame_report,
+    inverse,
+    inverse_tight,
+    sample_bank,
+)
 from cews.cli import main
-from cews.io import read_coefficients, read_signal_csv, write_coefficients, write_signal_csv
+from cews.errors import EwtError
+from cews.io import (
+    encode_boundary,
+    read_coefficients,
+    read_signal_csv,
+    write_coefficients,
+    write_csv,
+    write_signal_csv,
+)
 
-from conftest import error_payload, scaled_bounds
+from conftest import ALL_FAMILIES, error_payload, make_params, partitions_on_grid, scaled_bounds
 
 LP_CONFIG = {
     "mode": "Vstar",
@@ -823,3 +845,134 @@ def test_module_entry_point_usage_error():
         "error": "InputFormatError",
         "message": "the following arguments are required: --coef, --out",
     }
+
+
+# -- the CLI against the library --------------------------------------------------
+
+
+@st.composite
+def cli_jobs(draw):
+    """A valid job: partition, family parameters and grid, a real or complex
+    signal with signed zeros, whose largest sample is 1, subnormal or large
+    enough that its transform may overflow, and the flags: ``complex`` for
+    the signal, ``real_output``, ``--allow-singular`` and ``--sum-squares``."""
+    partition, grid = draw(partitions_on_grid(st.integers(1, 300)))
+    params = make_params(partition, draw(ALL_FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = grid.n_samples
+    flags = ("complex", "real_output", "allow_singular", "sum_squares")
+    flags = draw(st.fixed_dictionaries({flag: st.booleans() for flag in flags}))
+    x = rng.standard_normal(n).astype(complex)
+    if flags["complex"]:
+        x.imag = rng.standard_normal(n)
+    x.real[rng.random(n) < 0.1] = -0.0
+    # the largest |sample|
+    x = x / (np.abs(x).max() or 1.0) * draw(st.sampled_from([1.0, 1e-310, 1e308]))
+    return partition, params, grid, x, flags
+
+
+def run_main(*argv):
+    """``cli.main`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def library(compose):
+    """compose() under the CLI's numpy error state, or the error it raises."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return compose()
+    except (EwtError, FloatingPointError) as exc:
+        return exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_jobs())
+def test_cli_writes_what_the_library_composes(job):
+    partition, params, grid, x, flags = job
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        config = {
+            "mode": partition.mode,
+            "boundaries": [encode_boundary(v) for v in partition.boundaries],
+            "family": params.family,
+            "n_samples": grid.n_samples,
+            "real_output": flags["real_output"],
+        }
+        if params.gabor_rays is not None:
+            config["gabor_rays"] = params.gabor_rays
+        (tmp / "job.json").write_text(json.dumps(config))
+        write_signal_csv(tmp / "signal.csv", x, real_only=not flags["complex"])
+
+        def written(write):
+            """The bytes a library writer leaves in a fresh file."""
+            path = tmp / "expected"
+            write(path)
+            return path.read_bytes()
+
+        def filters(bank):
+            order = grid.order
+            header, columns = ["xi"], [grid.xi[order]]
+            for n, row in zip(bank.support_indices, bank.spectra[:, order]):
+                header += [f"f{n}_re", f"f{n}_im"]
+                columns += [row.real, row.imag]
+            return written(lambda path: write_csv(path, header, columns))
+
+        def frame(bank):
+            report = frame_report(bank)
+            payload = {
+                "A_emp": report.a_empirical,
+                "B_emp": report.b_empirical,
+                "A_analytic": report.a_analytic,
+                "B_analytic": report.b_analytic,
+                "per_filter_norm": list(report.per_filter_norm),
+                "singular_bins": list(report.singular_bins),
+            }
+            if flags["sum_squares"]:
+                payload["sum_squares"] = [float(v) for v in report.sum_squares]
+            return json.dumps(payload, allow_nan=False) + "\n"
+
+        def coefficients(bank):
+            coeffs = forward(x, bank)
+            indices = coeffs.support_indices
+            return written(lambda path: write_coefficients(path, coeffs.rows, indices))
+
+        def signal(rec):
+            return written(lambda path: write_signal_csv(path, rec, real_only=flags["real_output"]))
+
+        def through_dual(bank):
+            dual = dual_bank(bank, allow_singular=flags["allow_singular"])
+            return signal(inverse(forward(x, bank), dual))
+
+        def tight(bank):
+            return signal(inverse_tight(forward(x, bank), bank, 1.0))
+
+        job_args = ["--config", tmp / "job.json"]
+        sum_squares = ["--sum-squares"] * flags["sum_squares"]
+        signal_args = ["--signal", tmp / "signal.csv"]
+        inverse_args = ["inverse", *job_args, "--coef", tmp / "c.ewtc"]
+        singular = ["--allow-singular"] * flags["allow_singular"]
+        commands = [
+            (["filters", *job_args], tmp / "f.csv", filters),
+            (["frame", *job_args, *sum_squares], None, frame),
+            (["forward", *job_args, *signal_args], tmp / "c.ewtc", coefficients),
+            ([*inverse_args, *singular], tmp / "d.csv", through_dual),
+            ([*inverse_args, "--tight", "1.0"], tmp / "t.csv", tight),
+        ]
+        for argv, out, compose in commands:
+            argv += [] if out is None else ["--out", out]
+            # each command samples its own bank, as each CLI run does
+            expected = library(lambda: compose(sample_bank(partition, params, grid)))
+            code, stdout, stderr = run_main(*argv)
+            if isinstance(expected, Exception):
+                assert code == 1
+                payload = error_payload(stdout, stderr)
+                assert payload["error"] == type(expected).__name__
+                assert payload["message"] == str(expected)
+                if argv[0] == "forward":
+                    break  # the inverses read forward's file
+            else:
+                assert (code, stderr) == (0, "")
+                assert (stdout if out is None else out.read_bytes()) == expected

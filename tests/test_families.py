@@ -25,7 +25,7 @@ from cews.errors import (
 )
 from cews.families import _position, eval_gabor, eval_meyer, eval_shannon
 
-from conftest import INF, PI, evaluate, scaled_bounds
+from conftest import INF, PI, evaluate, scaled_bounds, whole_rows
 
 # three ray-covered partitions whose transitions stay disjoint at 0.9*max_gamma
 V_WITH_RAYS = ("V", (-INF, -2.0, 0.0, 1.4, 1.8, INF))
@@ -348,24 +348,33 @@ class TestSampleBank:
         assert np.array_equal(first.spectra, second.spectra)
 
     def test_hand_made_bank_gets_whole_row_bands(self, grid_partition):
+        grid = FrequencyGrid(32)
+        dense = np.ones((7, 32), dtype=complex)
         bank = FilterBank(
             partition=grid_partition,
             params=FamilyParams("shannon"),
-            grid=FrequencyGrid(32),
-            spectra=np.ones((7, 32), dtype=complex),
+            grid=grid,
             support_indices=grid_partition.support_indices,
+            **whole_rows(dense, grid),
         )
         assert bank.bands == ((0, 32),) * 7
+        for row, (_, values, zero) in zip(dense, bank._layout()):
+            assert zero is None and all(np.shares_memory(part, row) for part in values)
         assert np.array_equal(sum_squares(bank), np.full(32, 7.0))
-        with pytest.raises(TypeError):  # bands are not a constructor argument
-            FilterBank(**{f.name: getattr(bank, f.name) for f in fields(bank)})
+        # a bank's fields rebuild it; spectra are not a constructor argument
+        rebuilt = FilterBank(**{f.name: getattr(bank, f.name) for f in fields(bank)})
+        assert rebuilt.spectra.tobytes() == dense.tobytes()
+        with pytest.raises(TypeError, match="spectra"):
+            FilterBank(spectra=dense, **{f.name: getattr(bank, f.name) for f in fields(bank)})
 
     def test_replacing_the_spectra_resets_the_bands(self, grid_partition):
         bank = sample_bank(grid_partition, FamilyParams("shannon"), FrequencyGrid(32))
         assert bank.bands != ((0, 32),) * 7
-        dense = replace(bank, spectra=np.ones((7, 32), dtype=complex))
+        dense = replace(bank, **whole_rows(np.ones((7, 32), dtype=complex), bank.grid))
         assert dense.bands == ((0, 32),) * 7
         assert np.array_equal(sum_squares(dense), np.full(32, 7.0))
+        with pytest.raises(TypeError, match="spectra"):
+            replace(bank, spectra=dense.spectra)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

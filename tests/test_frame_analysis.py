@@ -16,7 +16,7 @@ from cews import (
     sum_squares,
 )
 
-from conftest import INF, PI
+from conftest import INF, PI, whole_rows
 
 
 def make_bank(partition, family, n_samples, **kwargs):
@@ -27,13 +27,13 @@ def make_bank(partition, family, n_samples, **kwargs):
 
 def zero_bank(n_samples=64):
     partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
-    spectra = np.zeros((3, n_samples), dtype=complex)
+    grid = FrequencyGrid(n_samples)
     return FilterBank(
         partition=partition,
         params=FamilyParams("shannon"),
-        grid=FrequencyGrid(n_samples),
-        spectra=spectra,
+        grid=grid,
         support_indices=partition.support_indices,
+        **whole_rows(np.zeros((3, n_samples), dtype=complex), grid),
     )
 
 

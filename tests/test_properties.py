@@ -28,11 +28,21 @@ from cews import (
     sum_squares,
 )
 from cews import frame_analysis
-from conftest import INF, evaluate, holds_dense, report_bytes, warns_overflow, with_bands
+from conftest import (
+    ALL_FAMILIES,
+    INF,
+    evaluate,
+    holds_dense,
+    make_params,
+    partitions_on_grid,
+    report_bytes,
+    side,
+    warns_overflow,
+    whole_rows,
+    with_bands,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
-
-side = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3, unique=True)
 
 
 @st.composite
@@ -45,22 +55,9 @@ def banks_on_grid(draw):
     return partition, FrequencyGrid(draw(st.integers(32, 400)))
 
 
-ALL_FAMILIES = st.sampled_from(
-    ["littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended"]
-)
-
-
 def make_signal(grid, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(grid.n_samples) + 1j * rng.standard_normal(grid.n_samples)
-
-
-def make_params(partition, family):
-    if family == "littlewood-paley":
-        return FamilyParams(family, gamma=0.9 * partition.max_gamma())
-    if family.startswith("gabor-"):
-        return FamilyParams("gabor", gabor_rays=family.split("-")[1])
-    return FamilyParams(family)
 
 
 @PROPERTY_SETTINGS
@@ -177,17 +174,6 @@ def test_pipeline_is_deterministic(case, family, seed):
         assert first.tobytes() == second.tobytes()
 
 
-@st.composite
-def partitions_on_grid(draw):
-    """(partition, grid) like banks_on_grid, each ray present or not."""
-    mode = draw(st.sampled_from(["V", "Vstar"]))
-    finite = sorted(-v for v in draw(side)) + ([0.0] if mode == "V" else []) + sorted(draw(side))
-    assume(min(b - a for a, b in zip(finite, finite[1:])) >= 0.02)
-    left, right = draw(st.booleans()), draw(st.booleans())
-    partition = build_partition(mode, [-INF] * left + finite + [INF] * right)
-    return partition, FrequencyGrid(draw(st.integers(1, 400) | st.integers(1, 8192)))
-
-
 @settings(max_examples=100, deadline=None)
 @given(partitions_on_grid(), ALL_FAMILIES)
 # the median of S is 8.4e-320, below the smallest normal float
@@ -216,7 +202,7 @@ def test_band_path_is_bit_identical(case, family):
             overflows = not np.isfinite(sum_squares(dual)).all()
         with warns_overflow(overflows):
             duals.append((epsilon, dual, dual_bank(dual, allow_singular=True), overflows))
-    whole = replace(bank)
+    whole = replace(bank, **whole_rows(bank.spectra, grid))
     assert whole.bands == ((0, grid.n_samples),) * len(bank.bands)
     for row, n, (lo, hi) in zip(bank.spectra, bank.support_indices, bank.bands):
         assert 0 <= lo <= hi <= grid.n_samples
@@ -343,7 +329,7 @@ def test_dual_is_the_dense_formula(case, family):
     epsilons = [e for e in (1e-12, float(np.median(sum_squares(bank))), 5e-324) if e > 0.0]
     # the duals of the banded bank are taken before its spectra are read
     duals = [dual_bank(bank, epsilon, allow_singular=True) for epsilon in epsilons]
-    whole = replace(bank)
+    whole = replace(bank, **whole_rows(bank.spectra, grid))
     for epsilon, dual in zip(epsilons, duals):
         expected = dense_dual(bank, epsilon).tobytes()
         assert dual.spectra.tobytes() == expected
@@ -519,7 +505,7 @@ def test_transform_is_the_dense_formula(case, family, seed, poison):
         # the library ran on them, then whole-row bands
         for b in (bank, *[dual_bank(bank, e, allow_singular=True) for e in epsilons]):
             check(b)
-        whole = replace(bank)
+        whole = replace(bank, **whole_rows(bank.spectra, grid))
         for b in (whole, *[dual_bank(whole, e, allow_singular=True) for e in epsilons]):
             check(b)
 
@@ -554,8 +540,8 @@ def banded_banks(draw):
         partition=partition,
         params=FamilyParams("shannon"),
         grid=grid,
-        spectra=spectra,
         support_indices=partition.support_indices,
+        **whole_rows(spectra, grid),
     )
     return with_bands(bank, bands)
 

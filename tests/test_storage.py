@@ -1,9 +1,11 @@
 """Band storage: no library call builds a bank's dense spectra.
 
-Band rows are the storage: a sampled bank holds each filter's band values
-and one zero per row, and its dual the bank and the squared filter sum.
-``spectra`` is a cache that the rows point into once built, on first read.
-Reading it on any library path would bring back a dense K×N array per bank.
+Band rows are the storage, and a bank's only constructor input for its
+filters: a sampled bank holds each filter's band values and one zero per
+row, and its dual the bank and the squared filter sum. ``spectra`` is a
+cache that the rows point into once built, on first read. Reading it on any
+library path, ``dataclasses.replace`` included, would bring back a dense
+K×N array per bank.
 """
 
 import copy
@@ -32,7 +34,7 @@ from cews import (
 )
 
 from cews.families import _Quotients
-from conftest import INF, holds_dense
+from conftest import INF, holds_dense, whole_rows
 
 N = 2**16
 K = 33
@@ -50,7 +52,7 @@ def vstar_lp_bank(n=N):
 def holds_band_rows(bank):
     """Whether the bank stores, for each band, its values on the band's
     slices and its zero (a 1-element array, None for a whole-row band)."""
-    rows = bank._storage
+    rows = bank.rows
     return len(rows) == len(bank.bands) and all(
         len(values) == len(bank.grid.run_slices(lo, hi))
         and all(isinstance(part, np.ndarray) and part.ndim == 1 for part in values)
@@ -68,25 +70,29 @@ def test_band_rows_are_the_only_storage():
         partition=bank.partition,
         params=bank.params,
         grid=bank.grid,
-        spectra=dense,
         support_indices=bank.support_indices,
+        **whole_rows(dense, bank.grid),
     )
-    replaced = replace(bank, spectra=dense)
-    assert holds_band_rows(bank) and isinstance(dual._storage, _Quotients)
+    replaced = replace(bank, **whole_rows(dense, bank.grid))
+    assert holds_band_rows(bank) and isinstance(dual.rows, _Quotients)
     for b in (by_hand, replaced):
-        assert holds_band_rows(b) and b.spectra is dense
+        assert holds_band_rows(b) and b.bands == ((0, n),) * K
         for row, (_, values, zero) in zip(dense, b._layout()):
             assert zero is None and all(np.shares_memory(part, row) for part in values)
-    # the band values are one array, which the first read of spectra frees
-    band_values = weakref.ref(bank._storage[0][0][0].base)
-    for b in (bank, dual):
+        assert b.spectra.tobytes() == dense.tobytes()
+    # a bank's band values are one array, and a dual's storage holds its
+    # bank; the first read of either one's spectra frees that array
+    for b in (vstar_lp_bank(n), dual_bank(vstar_lp_bank(n))):
+        owner = b.rows.bank if isinstance(b.rows, _Quotients) else b
+        band_values = weakref.ref(owner.rows[0][0][0].base)
+        del owner
         spectra = b.spectra
         assert holds_band_rows(b) and b.spectra is spectra
         for _, values, zero in b._layout():
             assert all(np.shares_memory(part, spectra) for part in values)
             assert zero is None or np.shares_memory(zero, spectra)
-    gc.collect()
-    assert band_values() is None
+        gc.collect()
+        assert band_values() is None
 
 
 def test_library_calls_build_no_dense_array():
@@ -114,6 +120,24 @@ def test_library_calls_build_no_dense_array():
         for _, values, zero in b._layout():
             assert all(np.shares_memory(part, spectra) for part in values)
             assert zero is None or np.shares_memory(zero, spectra)
+
+
+def test_replace_builds_nothing():
+    bank = vstar_lp_bank()
+    dual = dual_bank(bank)
+    x = np.random.default_rng(0).standard_normal(N)
+    for source, changes in ((bank, {}), (dual, {}), (bank, {"singular_bins": (0,)})):
+        tracemalloc.start()
+        try:
+            copied = replace(source, **changes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not holds_dense(source) and not holds_dense(copied)
+        assert peak < DENSE_BYTES / 4
+        coeffs = forward(x, source)
+        assert forward(x, copied).rows.tobytes() == coeffs.rows.tobytes()
+        assert inverse(coeffs, copied).tobytes() == inverse(coeffs, source).tobytes()
 
 
 def test_repr_leaves_the_storage_alone():
@@ -145,7 +169,7 @@ def test_copies_keep_band_storage_and_bytes():
         for copy_of in (copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b)))
     ]
     for bank_copy, dual_copy in copies:
-        assert holds_band_rows(bank_copy) and isinstance(dual_copy._storage, _Quotients)
+        assert holds_band_rows(bank_copy) and isinstance(dual_copy.rows, _Quotients)
         assert not holds_dense(bank_copy) and not holds_dense(dual_copy)
         assert forward(x, bank_copy).rows.tobytes() == coeffs.rows.tobytes()
         assert inverse(coeffs, dual_copy).tobytes() == rec.tobytes()

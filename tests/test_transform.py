@@ -19,7 +19,7 @@ from cews.errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFra
 from cews.families import _divide
 
 from oracle_utils import dft_direct, idft_direct, rel_l2
-from conftest import INF, report_bytes, warns_overflow, with_bands
+from conftest import INF, report_bytes, warns_overflow, whole_rows, with_bands
 
 
 def random_signal(n, seed=0):
@@ -38,13 +38,12 @@ def allpass_bank(n_samples):
     """Single all-pass filter; handy for identity checks."""
     partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
     grid = FrequencyGrid(n_samples)
-    spectra = np.ones((1, n_samples), dtype=complex)
     return FilterBank(
         partition=partition,
         params=FamilyParams("shannon"),
         grid=grid,
-        spectra=spectra,
         support_indices=(0,),
+        **whole_rows(np.ones((1, n_samples), dtype=complex), grid),
     )
 
 
@@ -160,8 +159,8 @@ class TestDualBank:
             partition=partition,
             params=FamilyParams("shannon"),
             grid=grid,
-            spectra=spectra,
             support_indices=partition.support_indices,
+            **whole_rows(spectra, grid),
         )
         # no sampled family reaches a subnormal S, so narrow the bands by hand
         # and store them the way sample_bank does
@@ -204,8 +203,8 @@ class TestDualBank:
             partition=partition,
             params=FamilyParams("shannon"),
             grid=grid,
-            spectra=spectra,
             support_indices=partition.support_indices,
+            **whole_rows(spectra, grid),
         )
         bands = ((0, 4), (4, 8), (4, 4))
         band = with_bands(dense, bands)

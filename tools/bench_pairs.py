@@ -44,7 +44,7 @@ stream = workloads.Stream(False)
 banks = stream.setup(stream.inputs(np.random.default_rng(seed), None))
 out = {}
 for family, (bank, dual) in zip(stream.families, banks):
-    values = bank._storage[0][0][0]
+    values = next(bank._layout())[1][0]
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
