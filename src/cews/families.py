@@ -97,8 +97,10 @@ def _divide(values, denom) -> np.ndarray:
 class FilterBank:
     """Filters sampled on a grid: an analysis family or its pointwise dual.
 
-    ``spectra[i, k]`` is filter i (in support enumeration order) at grid bin
-    k. ``singular_bins`` is empty for sampled families; on a dual bank it
+    ``spectra[i, k]`` is filter i at grid bin k, the filter of support
+    ``support_indices[i]``: a bank's support indices are its partition's.
+    ``params`` is the sampled family; a dual bank has None, no family.
+    ``singular_bins`` is empty for sampled families; on a dual bank it
     lists the bins where the squared filter sum fell below the guard: the
     dual divides by infinity there, so every filter is a zero.
 
@@ -131,8 +133,11 @@ class FilterBank:
     grid: FrequencyGrid
     bands: tuple = field(repr=False)
     rows: tuple = field(repr=False)
-    support_indices: tuple
     singular_bins: tuple = ()
+
+    @property
+    def support_indices(self) -> tuple:
+        return self.partition.support_indices
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -424,14 +429,10 @@ def _position(grid: FrequencyGrid, v, side: str):
 
 
 def _write(band, lo: int, first: int, stop: int, values, pref) -> None:
-    """Lay ``values`` (ascending-xi order, or one float) on sorted positions
-    first, ..., stop - 1 of ``band``, the values at sorted positions lo,
-    ..., times ``pref`` unless it is None."""
-    part = band[first - lo : stop - lo]
-    if pref is None:
-        part[...] = values
-    else:
-        np.multiply(pref, values, out=part)
+    """Lay ``pref`` times ``values`` (ascending-xi order, or one float) on
+    sorted positions first, ..., stop - 1 of ``band``, the row's values from
+    sorted position lo on."""
+    np.multiply(pref, values, out=band[first - lo : stop - lo])
 
 
 def _band_storage(grid: FrequencyGrid, bands, dtype) -> list:
@@ -451,13 +452,10 @@ def _band_storage(grid: FrequencyGrid, bands, dtype) -> list:
 
 def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
     """pi/2 beta((xi - start) / width) of a (start, stop, width) ramp on the
-    bins at sorted positions lo, ..., hi - 1, in that order."""
+    bins at sorted positions lo, ..., hi - 1, in that order, the 0, 1 or 2
+    slices of the run joined after an empty array."""
     start, _, width = ramp
-    slices = grid.run_slices(lo, hi)
-    if len(slices) == 2:
-        x = np.concatenate([grid.xi[sl] for sl in slices])
-    else:
-        x = grid.xi[slices[0] if slices else slice(0)]
+    x = np.concatenate([np.empty(0)] + [grid.xi[sl] for sl in grid.run_slices(lo, hi)])
     return HALF_PI * beta((x - start) / width)
 
 
@@ -469,14 +467,14 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
     ramp's angles are computed once, over its closed run of sorted positions:
     the fall takes their cos, the neighbour's rise their sin over the
     half-open prefix of the run. Writes go plateau, fall, rise, as in
-    :func:`_bump`. Meyer values are times the filter's prefactor, and outside
-    its band a Meyer row holds the prefactor times 0; a Littlewood-Paley row
-    holds +0.0 there, and its band values are stored as real floats.
+    :func:`_bump`. Every value is times the filter's prefactor, 1.0 for
+    Littlewood-Paley, whose band values are stored as real floats, and
+    outside its band a row holds the prefactor times a complex 0.
     """
     if params.family == LITTLEWOOD_PALEY:
         gamma = _check_gamma(partition, params.gamma)
         ramps = [_lp_ramp(partition, gamma, v) for v in partition.boundaries]
-        prefactors, dtype = [None] * len(partition.supports), float
+        prefactors, dtype = [1.0] * len(partition.supports), float
     else:
         centers = _meyer_centers(partition)
         plans = [_meyer_ramps(centers, pos) for pos in range(len(centers))]
@@ -499,10 +497,7 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
         rise_angles, angles = angles, _angles(grid, ramps[i + 1], fall[0], fall[2])
         _write(band, lo, fall[0], fall[2], np.cos(angles), pref)
         _write(band, lo, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
-        zero = None
-        if hi - lo < n_bins:
-            zero = np.zeros(1, dtype=complex) if pref is None else pref * np.zeros(1)
-        rows.append((pieces, zero))
+        rows.append((pieces, pref * np.zeros(1, complex) if hi - lo < n_bins else None))
     return tuple(bands), tuple(rows)
 
 
@@ -568,5 +563,4 @@ def sample_bank(partition: Partition, params: FamilyParams, grid: FrequencyGrid)
         grid=grid,
         bands=bands,
         rows=rows,
-        support_indices=partition.support_indices,
     )

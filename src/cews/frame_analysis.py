@@ -32,8 +32,8 @@ class FrameReport:
     """Summary of S(xi) = sum_n |psi_n(xi)|^2 over the grid.
 
     Analytic bounds are None for families (or ray configurations) without a
-    closed form. ``singular_bins`` lists bins where S fell below the epsilon
-    used to build the report.
+    closed form, and for a dual bank. ``singular_bins`` lists bins where S
+    fell below the epsilon used to build the report.
     """
 
     sum_squares: np.ndarray
@@ -165,12 +165,13 @@ def analytic_bounds(params: FamilyParams, partition: Partition) -> tuple:
     """Closed-form frame bounds (a, b) where the family defines them.
 
     The bound statements presuppose that the filters cover the whole line, so
-    partitions without both rays get (None, None). Gabor has no finite upper
-    closed form and, with "local" rays, no positive lower one either; its
-    lower bound carries the 1/width normalization of the scaled filters, so
-    it is exp(-25 pi / 8) / max compact width.
+    partitions without both rays get (None, None), and so do the params
+    None of a dual bank. Gabor has no finite upper closed form and, with
+    "local" rays, no positive lower one either; its lower bound carries the
+    1/width normalization of the scaled filters, so it is exp(-25 pi / 8) /
+    max compact width.
     """
-    if not (partition.has_left_ray and partition.has_right_ray):
+    if params is None or not (partition.has_left_ray and partition.has_right_ray):
         return None, None
     if params.family == LITTLEWOOD_PALEY:
         return 1.0, 1.0

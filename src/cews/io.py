@@ -170,12 +170,15 @@ def load_config(path, n_samples_override: int = None) -> JobConfig:
 
 
 def convert_hz(config: JobConfig, sample_rate: float) -> JobConfig:
-    """Reinterpret finite boundaries as Hz and convert to radians."""
+    """Reinterpret finite boundaries as Hz and convert them to finite radians."""
     rate = float(sample_rate)
     if not 0.0 < rate < math.inf:
         raise InputFormatError(f"sample rate must be finite and > 0, got {rate}")
     scale = 2.0 * math.pi / rate
     converted = tuple(v * scale if math.isfinite(v) else v for v in config.boundaries)
+    for i, (v, w) in enumerate(zip(config.boundaries, converted)):
+        if math.isfinite(v) != math.isfinite(w):
+            raise InputFormatError(f"boundaries[{i}]: {v} Hz at sample rate {rate} is {w} rad")
     return replace(config, boundaries=converted)
 
 

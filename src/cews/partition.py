@@ -14,6 +14,7 @@ Partitions are immutable after construction and safe to share across threads.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateCenter,
@@ -61,29 +62,34 @@ class Partition:
     """Validated boundary set; :func:`build_partition` is its only supported
     constructor. It guarantees a finite boundary, so no support spans the whole
     line; every compact support but Vstar's -1 lies on one side of zero; and in
-    V mode a compact support gives the zero boundary a finite neighbour."""
+    V mode a compact support gives the zero boundary a finite neighbour. It is
+    its mode and boundaries; indices and supports are derived on first use."""
 
     mode: str
     boundaries: tuple
-    indices: tuple
-
-    def __post_init__(self):
-        supports = tuple(
-            Support(self.indices[i], self.boundaries[i], self.boundaries[i + 1])
-            for i in range(len(self.boundaries) - 1)
-        )
-        object.__setattr__(self, "_supports", supports)
-        object.__setattr__(self, "_pos", {s.index: i for i, s in enumerate(supports)})
 
     # -- enumeration ----------------------------------------------------------
 
-    @property
-    def supports(self) -> tuple:
-        return self._supports
+    @cached_property
+    def indices(self) -> tuple:
+        """Each boundary's index: its position counted from the first
+        non-negative boundary, skipping 0 in Vstar mode (module docstring)."""
+        first = sum(1 for v in self.boundaries if v < 0)
+        skip = self.mode == VSTAR_MODE
+        return tuple(i - first + (skip and v > 0) for i, v in enumerate(self.boundaries))
 
-    @property
+    @cached_property
+    def supports(self) -> tuple:
+        bounds = self.boundaries
+        return tuple(Support(*s) for s in zip(self.indices, bounds, bounds[1:]))
+
+    @cached_property
     def support_indices(self) -> tuple:
-        return tuple(s.index for s in self._supports)
+        return self.indices[:-1]
+
+    @cached_property
+    def _pos(self) -> dict:
+        return {n: i for i, n in enumerate(self.support_indices)}
 
     @property
     def has_left_ray(self) -> bool:
@@ -94,7 +100,7 @@ class Partition:
         return math.isinf(self.boundaries[-1])
 
     def support(self, n: int) -> Support:
-        return self._supports[self.ordinal(n)]
+        return self.supports[self.ordinal(n)]
 
     def ordinal(self, n: int) -> int:
         """Position of support n in left-to-right enumeration order."""
@@ -124,8 +130,8 @@ class Partition:
         if not s.is_ray:
             raise RayWithoutNeighbor(f"support {n} is not a one-sided ray")
         pos = self._pos[n] + (1 if s.is_left_ray else -1)
-        if 0 <= pos < len(self._supports):
-            neighbor = self._supports[pos]
+        if 0 <= pos < len(self.supports):
+            neighbor = self.supports[pos]
             if not neighbor.is_ray:
                 return neighbor
         raise RayWithoutNeighbor(f"ray support {n} has no adjacent compact support")
@@ -141,7 +147,7 @@ class Partition:
         transition once gamma reaches 1/2.
         """
         ratios = []
-        for s in self._supports:
+        for s in self.supports:
             if s.is_ray:
                 continue
             if self.mode == VSTAR_MODE and s.index == -1:
@@ -157,7 +163,7 @@ class Partition:
 
 
 def build_partition(mode: str, boundary_values) -> Partition:
-    """Validate boundary values and assign sign-based indices.
+    """Validate boundary values; the partition derives its sign-based indices.
 
     Values must be strictly increasing extended reals with at most one -inf
     (first) and one +inf (last). V mode requires the zero boundary, Vstar mode
@@ -197,13 +203,4 @@ def build_partition(mode: str, boundary_values) -> Partition:
         if not any(v > 0 and math.isfinite(v) for v in values):
             raise VstarMissingSide("Vstar mode needs a finite positive boundary")
 
-    n_neg = sum(1 for v in values if v < 0)
-    indices = []
-    for i, v in enumerate(values):
-        if v < 0:
-            indices.append(i - n_neg)
-        elif v == 0.0:
-            indices.append(0)
-        else:
-            indices.append(i - n_neg - zero_count + 1)
-    return Partition(mode=mode, boundaries=tuple(values), indices=tuple(indices))
+    return Partition(mode=mode, boundaries=tuple(values))

@@ -109,6 +109,8 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
 
     S is the bank's, from the walk ``frame_report`` shares; where bins are
     singular a copy of it takes the infinities, so the bank's S never does.
+    The dual's ``params`` is None: its frame bounds are not the family's, so
+    ``frame_report`` gives it no analytic bounds.
     """
     epsilon = check_epsilon(epsilon)
     denom = _energy(bank)[0]
@@ -121,7 +123,8 @@ def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular
         denom = denom.copy()
         denom[bins] = np.inf
         denom.setflags(write=False)
-    return replace(bank, rows=_Quotients(bank, denom), singular_bins=tuple(int(b) for b in bins))
+    bins = tuple(int(b) for b in bins)
+    return replace(bank, params=None, rows=_Quotients(bank, denom), singular_bins=bins)
 
 
 def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:

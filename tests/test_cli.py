@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import cews
 import cews.io
 from cews import (
+    EwtCoefficients,
     FamilyParams,
     FrequencyGrid,
     build_partition,
@@ -25,7 +26,7 @@ from cews import (
     inverse_tight,
     sample_bank,
 )
-from cews.cli import main
+from cews.cli import _norm, main
 from cews.errors import EwtError
 from cews.io import (
     encode_boundary,
@@ -36,7 +37,14 @@ from cews.io import (
     write_signal_csv,
 )
 
-from conftest import ALL_FAMILIES, error_payload, make_params, partitions_on_grid, scaled_bounds
+from conftest import (
+    ALL_FAMILIES,
+    INF,
+    error_payload,
+    make_params,
+    partitions_on_grid,
+    scaled_bounds,
+)
 
 LP_CONFIG = {
     "mode": "Vstar",
@@ -696,6 +704,25 @@ class TestErrorPaths:
         assert code == 2
         assert error_payload(out, err)["error"] == "InputFormatError"
 
+    @pytest.mark.parametrize(
+        "boundaries, rate, bad",
+        # 2 pi / 1e-310 is inf, so 0 Hz would be NaN and -1 Hz -inf; at
+        # 1e-300 the 1e-301 Hz boundary is fine, but -1e10 Hz is -inf rad
+        [
+            ([-1, 0, 1], "1e-310", "boundaries[0]: -1.0 Hz "),
+            ([-1e10, 0, 1e-301], "1e-300", "boundaries[0]: -10000000000.0 Hz "),
+        ],
+    )
+    def test_hz_that_overflows_a_boundary_exits_2(
+        self, capsys, config_path, boundaries, rate, bad
+    ):
+        config = config_path(mode="V", boundaries=boundaries, n_samples=64)
+        code, out, err = run(capsys, "frame", "--config", config, "--hz", rate)
+        assert code == 2
+        payload = error_payload(out, err)
+        assert payload["error"] == "InputFormatError"
+        assert payload["message"].startswith(bad)
+
     @pytest.mark.parametrize("damaged", ["config", "signal"])
     def test_non_utf8_input_exits_2(self, capsys, config_path, signal_path, tmp_path, damaged):
         config = config_path(n_samples=64)
@@ -850,17 +877,48 @@ def test_module_entry_point_usage_error():
 # -- the CLI against the library --------------------------------------------------
 
 
+# shapes drawn on purpose, besides any partition: one filter (N = 1 takes
+# forward's one-cell path), a band that wraps from bin N - 1 to bin 0, an
+# empty band, and a coefficient row whose FFT sum overflows, which inverse
+# multiplies by the filter over the whole row
+SHAPES = ("any", "one-filter", "wrap", "empty-band", "overflow-row")
+
+
 @st.composite
-def cli_jobs(draw):
-    """A valid job: partition, family parameters and grid, a real or complex
-    signal with signed zeros, whose largest sample is 1, subnormal or large
-    enough that its transform may overflow, and the flags: ``complex`` for
-    the signal, ``real_output``, ``--allow-singular`` and ``--sum-squares``."""
-    partition, grid = draw(partitions_on_grid(st.integers(1, 300)))
-    params = make_params(partition, draw(ALL_FAMILIES))
+def cli_jobs(draw, shape="any"):
+    """A valid job of one of ``SHAPES``: its partition, family parameters and
+    grid, a real or complex signal with signed zeros, whose largest sample
+    is 1, subnormal or large enough that its transform may overflow, the
+    flags (``complex`` for the signal, ``raw`` for its file,
+    ``real_output``, ``--allow-singular`` and ``--sum-squares``), the A of
+    ``--tight``, and the overflowing row or None."""
+    family = draw(ALL_FAMILIES)
+    rays = [draw(st.booleans()), draw(st.booleans())]
+    if shape == "one-filter":
+        ends = [-draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))]
+        sizes = st.integers(1, 3) | st.integers(1, 300)
+        partition, grid = build_partition("Vstar", ends), FrequencyGrid(draw(sizes))
+    elif shape == "wrap":
+        # Vstar's support -1 holds bins N - 1 and 0, so every family's band does
+        grid = FrequencyGrid(draw(st.integers(3, 300)))
+        inner = [-draw(st.floats(1.01 * grid.spacing, 3.0)), draw(st.floats(0.05, 3.0))]
+        partition = build_partition("Vstar", [-INF] * rays[0] + inner + [INF] * rays[1])
+    elif shape == "empty-band":
+        # a support between positive bins k and k + 1, clear of both even
+        # with Littlewood-Paley's transitions: its Shannon or LP band is empty
+        family = draw(st.sampled_from(["shannon", "littlewood-paley"]))
+        grid = FrequencyGrid(draw(st.integers(8, 300)))
+        k, h = draw(st.integers(1, (grid.n_samples - 1) // 2 - 2)), grid.spacing
+        lo = (k + draw(st.floats(0.3, 0.4))) * h
+        finite = [-draw(st.floats(0.05, 3.0)), lo, lo + draw(st.floats(0.05, 0.2)) * h]
+        partition = build_partition("Vstar", [-INF] * rays[0] + finite + [INF] * rays[1])
+    else:
+        sizes = st.integers(2 if shape == "overflow-row" else 1, 300)
+        partition, grid = draw(partitions_on_grid(sizes))
+    params = make_params(partition, family)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = grid.n_samples
-    flags = ("complex", "real_output", "allow_singular", "sum_squares")
+    flags = ("complex", "raw", "real_output", "allow_singular", "sum_squares")
     flags = draw(st.fixed_dictionaries({flag: st.booleans() for flag in flags}))
     x = rng.standard_normal(n).astype(complex)
     if flags["complex"]:
@@ -868,7 +926,9 @@ def cli_jobs(draw):
     x.real[rng.random(n) < 0.1] = -0.0
     # the largest |sample|
     x = x / (np.abs(x).max() or 1.0) * draw(st.sampled_from([1.0, 1e-310, 1e308]))
-    return partition, params, grid, x, flags
+    tight = draw(st.sampled_from([1.0, 0.375, 3.0, 1e-310]))
+    row = draw(st.integers(0, len(partition.supports) - 1)) if shape == "overflow-row" else None
+    return shape, partition, params, grid, x, flags, tight, row
 
 
 def run_main(*argv):
@@ -888,10 +948,34 @@ def library(compose):
         return exc
 
 
-@settings(max_examples=100, deadline=None)
-@given(cli_jobs())
-def test_cli_writes_what_the_library_composes(job):
-    partition, params, grid, x, flags = job
+def check_shape(shape, partition, bank):
+    """That the bank has the shape its job was drawn for, where sampling
+    succeeded: one filter, a band that wraps, or an empty band."""
+    if shape == "one-filter":
+        assert len(partition.supports) == 1
+    if isinstance(bank, Exception):
+        return
+    if shape == "wrap":
+        assert any(len(bank.grid.run_slices(lo, hi)) == 2 for lo, hi in bank.bands)
+    if shape == "empty-band":
+        assert any(lo == hi for lo, hi in bank.bands)
+
+
+def overflowing(coeffs, row):
+    """``coeffs`` with row ``row`` a delta of 1e308, whose FFT is 1e308 at
+    every bin, so that its sum overflows for N >= 2."""
+    rows = coeffs.rows.copy()
+    rows[row] = 0.0
+    rows[row, 0] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.add.reduce(np.fft.fft(rows[row])))
+    return EwtCoefficients(rows, coeffs.support_indices)
+
+
+def check_cli_job(shape, partition, params, grid, x, flags, a, row):
+    """Each command's output file or stdout is the library composition's,
+    byte for byte, or both fail with one error."""
+    check_shape(shape, partition, library(lambda: sample_bank(partition, params, grid)))
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         config = {
@@ -904,7 +988,11 @@ def test_cli_writes_what_the_library_composes(job):
         if params.gabor_rays is not None:
             config["gabor_rays"] = params.gabor_rays
         (tmp / "job.json").write_text(json.dumps(config))
-        write_signal_csv(tmp / "signal.csv", x, real_only=not flags["complex"])
+        if not flags["raw"]:
+            write_signal_csv(tmp / "signal", x, real_only=not flags["complex"])
+        else:
+            raw = x if flags["complex"] else x.real
+            (tmp / "signal").write_bytes(raw.view(float).astype("<f8").tobytes())
 
         def written(write):
             """The bytes a library writer leaves in a fresh file."""
@@ -915,9 +1003,9 @@ def test_cli_writes_what_the_library_composes(job):
         def filters(bank):
             order = grid.order
             header, columns = ["xi"], [grid.xi[order]]
-            for n, row in zip(bank.support_indices, bank.spectra[:, order]):
+            for n, values in zip(bank.support_indices, bank.spectra[:, order]):
                 header += [f"f{n}_re", f"f{n}_im"]
-                columns += [row.real, row.imag]
+                columns += [values.real, values.imag]
             return written(lambda path: write_csv(path, header, columns))
 
         def frame(bank):
@@ -934,32 +1022,56 @@ def test_cli_writes_what_the_library_composes(job):
                 payload["sum_squares"] = [float(v) for v in report.sum_squares]
             return json.dumps(payload, allow_nan=False) + "\n"
 
+        def read_back(bank):
+            """The coefficients inverse reads: forward's, with row ``row``
+            overflowing unless it is None."""
+            coeffs = forward(x, bank)
+            return coeffs if row is None else overflowing(coeffs, row)
+
         def coefficients(bank):
             coeffs = forward(x, bank)
             indices = coeffs.support_indices
             return written(lambda path: write_coefficients(path, coeffs.rows, indices))
 
-        def signal(rec):
-            return written(lambda path: write_signal_csv(path, rec, real_only=flags["real_output"]))
+        def through_dual(bank, coeffs):
+            return inverse(coeffs, dual_bank(bank, allow_singular=flags["allow_singular"]))
 
-        def through_dual(bank):
-            dual = dual_bank(bank, allow_singular=flags["allow_singular"])
-            return signal(inverse(forward(x, bank), dual))
+        def tight(bank, coeffs):
+            return inverse_tight(coeffs, bank, a)
 
-        def tight(bank):
-            return signal(inverse_tight(forward(x, bank), bank, 1.0))
+        def signal(reconstruct):
+            def compose(bank):
+                rec = reconstruct(bank, read_back(bank))
+                real_only = flags["real_output"]
+                return written(lambda path: write_signal_csv(path, rec, real_only=real_only))
+
+            return compose
+
+        def roundtrip(reconstruct):
+            # the error is measured by the CLI's own scaled norm
+            def compose(bank):
+                rec = reconstruct(bank, forward(x, bank))
+                denom = _norm(x)
+                err = float(_norm(rec - x) / denom) if denom else 0.0
+                payload = {"rel_l2_error": err, "max_imag": float(np.abs(rec.imag).max())}
+                return json.dumps(payload, allow_nan=False) + "\n"
+
+            return compose
 
         job_args = ["--config", tmp / "job.json"]
         sum_squares = ["--sum-squares"] * flags["sum_squares"]
-        signal_args = ["--signal", tmp / "signal.csv"]
+        signal_args = ["--signal", tmp / "signal", *["--raw"] * flags["raw"]]
         inverse_args = ["inverse", *job_args, "--coef", tmp / "c.ewtc"]
         singular = ["--allow-singular"] * flags["allow_singular"]
+        roundtrip_args = ["roundtrip", *job_args, *signal_args]
         commands = [
             (["filters", *job_args], tmp / "f.csv", filters),
             (["frame", *job_args, *sum_squares], None, frame),
+            ([*roundtrip_args, *singular], None, roundtrip(through_dual)),
+            ([*roundtrip_args, "--tight", a], None, roundtrip(tight)),
             (["forward", *job_args, *signal_args], tmp / "c.ewtc", coefficients),
-            ([*inverse_args, *singular], tmp / "d.csv", through_dual),
-            ([*inverse_args, "--tight", "1.0"], tmp / "t.csv", tight),
+            ([*inverse_args, *singular], tmp / "d.csv", signal(through_dual)),
+            ([*inverse_args, "--tight", a], tmp / "t.csv", signal(tight)),
         ]
         for argv, out, compose in commands:
             argv += [] if out is None else ["--out", out]
@@ -976,3 +1088,19 @@ def test_cli_writes_what_the_library_composes(job):
             else:
                 assert (code, stderr) == (0, "")
                 assert (stdout if out is None else out.read_bytes()) == expected
+            if argv[0] == "forward" and row is not None:
+                coeffs = read_back(sample_bank(partition, params, grid))
+                write_coefficients(out, coeffs.rows, coeffs.support_indices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_jobs())
+def test_cli_writes_what_the_library_composes(job):
+    check_cli_job(*job)
+
+
+@pytest.mark.parametrize("shape", SHAPES[1:])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_writes_what_the_library_composes_on_drawn_shapes(shape, data):
+    check_cli_job(*data.draw(cli_jobs(shape)))

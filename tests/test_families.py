@@ -354,7 +354,6 @@ class TestSampleBank:
             partition=grid_partition,
             params=FamilyParams("shannon"),
             grid=grid,
-            support_indices=grid_partition.support_indices,
             **whole_rows(dense, grid),
         )
         assert bank.bands == ((0, 32),) * 7

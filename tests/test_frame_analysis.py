@@ -11,6 +11,7 @@ from cews import (
     build_partition,
     empirical_bounds,
     filter_norms,
+    dual_bank,
     frame_report,
     sample_bank,
     sum_squares,
@@ -32,7 +33,6 @@ def zero_bank(n_samples=64):
         partition=partition,
         params=FamilyParams("shannon"),
         grid=grid,
-        support_indices=partition.support_indices,
         **whole_rows(np.zeros((3, n_samples), dtype=complex), grid),
     )
 
@@ -177,6 +177,20 @@ class TestFrameReport:
         assert report.singular_bins == ()
         assert len(report.per_filter_norm) == 7
         assert report.sum_squares.shape == (1024,)
+
+    @pytest.mark.parametrize("family", ["meyer", "shannon"])
+    def test_dual_reports_no_analytic_bounds(self, family):
+        # the README quickstart partition: the dual's sums break the bank
+        # family's closed-form lower bound, so it claims none
+        partition = build_partition("Vstar", [-INF, -1.2, -0.4, 0.5, 1.1, INF])
+        bank = make_bank(partition, family, 4096)
+        dual = dual_bank(bank)
+        assert dual.params is None
+        report, claimed = frame_report(dual), frame_report(bank)
+        assert (report.a_analytic, report.b_analytic) == (None, None)
+        assert claimed.a_analytic is not None
+        assert report.a_empirical < 0.9 * claimed.a_analytic
+        assert analytic_bounds(None, partition) == (None, None)
 
     def test_singular_bins_reported(self):
         partition = build_partition("Vstar", [-INF, -0.05, 0.05, INF])

@@ -99,6 +99,18 @@ class TestConfig:
         with pytest.raises(InputFormatError):
             convert_hz(config, 0.0)
 
+    def test_convert_hz_keeps_finite_boundaries_finite(self):
+        # a tiny rate overflows 2 pi / rate, or a boundary times it; rays stay rays
+        tiny = parse_config({**BASE_CONFIG, "boundaries": ["-inf", -1, 1, "+inf"]})
+        with pytest.raises(InputFormatError, match=r"^boundaries\[1\]: -1\.0 Hz .* is -inf rad$"):
+            convert_hz(tiny, 1e-310)
+        large = parse_config({**BASE_CONFIG, "boundaries": [-1e10, -1e-301, 1e-301]})
+        with pytest.raises(InputFormatError, match=r"^boundaries\[0\]: "):
+            convert_hz(large, 1e-300)
+        rays = convert_hz(tiny, 3.5e-308)
+        assert rays.boundaries[0] == -INF and rays.boundaries[-1] == INF
+        assert all(math.isfinite(v) for v in rays.boundaries[1:-1])
+
     def test_realize_bank_defaults_gamma(self):
         bank = realize_bank(parse_config(BASE_CONFIG))
         assert bank.params.gamma == pytest.approx(0.9 * bank.partition.max_gamma(), rel=1e-15)

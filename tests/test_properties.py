@@ -540,7 +540,6 @@ def banded_banks(draw):
         partition=partition,
         params=FamilyParams("shannon"),
         grid=grid,
-        support_indices=partition.support_indices,
         **whole_rows(spectra, grid),
     )
     return with_bands(bank, bands)

@@ -70,7 +70,6 @@ def test_band_rows_are_the_only_storage():
         partition=bank.partition,
         params=bank.params,
         grid=bank.grid,
-        support_indices=bank.support_indices,
         **whole_rows(dense, bank.grid),
     )
     replaced = replace(bank, **whole_rows(dense, bank.grid))
@@ -152,7 +151,7 @@ def test_repr_leaves_the_storage_alone():
             tracemalloc.stop()
         assert not holds_dense(b)
         assert peak < DENSE_BYTES / 4
-        for name in ("partition", "params", "grid", "support_indices", "singular_bins"):
+        for name in ("partition", "params", "grid", "singular_bins"):
             assert f"{name}={getattr(b, name)!r}" in text
         assert "spectra" not in text
 

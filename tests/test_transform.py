@@ -35,14 +35,13 @@ def make_bank(partition, family, n_samples, **kwargs):
 
 
 def allpass_bank(n_samples):
-    """Single all-pass filter; handy for identity checks."""
-    partition = build_partition("Vstar", [-INF, -1.0, 1.0, INF])
+    """Single all-pass filter on a one-support partition; handy for identity checks."""
+    partition = build_partition("Vstar", [-1.0, 1.0])
     grid = FrequencyGrid(n_samples)
     return FilterBank(
         partition=partition,
         params=FamilyParams("shannon"),
         grid=grid,
-        support_indices=(0,),
         **whole_rows(np.ones((1, n_samples), dtype=complex), grid),
     )
 
@@ -159,7 +158,6 @@ class TestDualBank:
             partition=partition,
             params=FamilyParams("shannon"),
             grid=grid,
-            support_indices=partition.support_indices,
             **whole_rows(spectra, grid),
         )
         # no sampled family reaches a subnormal S, so narrow the bands by hand
@@ -203,7 +201,6 @@ class TestDualBank:
             partition=partition,
             params=FamilyParams("shannon"),
             grid=grid,
-            support_indices=partition.support_indices,
             **whole_rows(spectra, grid),
         )
         bands = ((0, 4), (4, 8), (4, 4))
@@ -250,7 +247,8 @@ class TestDualBank:
         bank = make_bank(grid_partition, "littlewood-paley", 1024)
         dual = dual_bank(bank)
         assert isinstance(dual, FilterBank)
-        assert (dual.partition, dual.params, dual.grid) == (bank.partition, bank.params, bank.grid)
+        # the dual has no family: its frame bounds are not the family's
+        assert (dual.partition, dual.params, dual.grid) == (bank.partition, None, bank.grid)
         assert np.abs(dual.spectra - bank.spectra).max() < 1e-10
         assert dual.singular_bins == ()
 

@@ -2,11 +2,14 @@
 leaves behind for a fixed corpus of job configs.
 
 Each of 30 configs runs ``filters``, ``forward``, ``inverse`` (reading the
-coefficients ``forward`` wrote), ``frame --sum-squares`` and ``roundtrip``,
-each in its own ``python3 -m cews`` process, and every run's exit code,
-stdout, stderr and output file are hashed, per command. Two checkouts that
-print the same digests give the same CLI bytes. Run it from anywhere; it
-runs the cews of the checkout it sits in:
+coefficients ``forward`` wrote), ``frame --sum-squares``, ``roundtrip``,
+``forward --raw`` on a raw float64 copy of the same signal, and ``inverse
+--tight 1.0`` on ``forward``'s coefficients, each in its own ``python3 -m
+cews`` process, and every run's exit code, stdout, stderr and output file
+are hashed, per command (the last two as the parts ``forward_raw`` and
+``inverse_tight``). Two checkouts that print the same digests give the
+same CLI bytes. Run it from anywhere; it runs the cews of the checkout it
+sits in:
 
     python3 tools/cli_digest.py
 
@@ -41,13 +44,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 VARIANTS = ("littlewood-paley", "meyer", "shannon", "gabor-local", "gabor-extended")
 KINDS = ("V", "Vstar", "Vstar-no-rays")
 EPSILONS = (1e-3, 1e-12, 1e-300, 1e-310, 5e-324)
-COMMANDS = ("filters", "forward", "inverse", "frame", "roundtrip")
+COMMANDS = ("filters", "forward", "inverse", "frame", "roundtrip", "forward_raw", "inverse_tight")
 CONFIGS = 30
 MAX_N = 4096
 
 
 def make_config(index):
-    """(config mapping, signal CSV text) of corpus entry ``index``."""
+    """(config mapping, signal CSV text, the same signal as raw bytes) of
+    corpus entry ``index``."""
     rng = np.random.default_rng(index)
     variant = VARIANTS[index % len(VARIANTS)]
     kind = KINDS[(index // len(VARIANTS)) % len(KINDS)]
@@ -73,18 +77,22 @@ def make_config(index):
         config["gamma"] = float(rng.uniform(0.01, 0.3))  # may exceed max_gamma
     signal = rng.standard_normal((n, 2))
     text = "re,im\n" + "".join(f"{re!r},{im!r}\n" for re, im in signal.tolist())
-    return config, text
+    return config, text, signal.astype("<f8").tobytes()
 
 
 def command_lines():
     """(command, argv tail, output file or None) in the order they run."""
     common = ["--config", "job.json"]
+    raw = ["--signal", "x.raw", "--raw"]
+    tight = ["--coef", "coef.ewtc", "--tight", "1.0"]
     return (
         ("filters", ["filters", *common, "--out", "filters.csv"], "filters.csv"),
         ("forward", ["forward", *common, "--signal", "x.csv", "--out", "coef.ewtc"], "coef.ewtc"),
         ("inverse", ["inverse", *common, "--coef", "coef.ewtc", "--out", "rec.csv"], "rec.csv"),
         ("frame", ["frame", *common, "--sum-squares"], None),
         ("roundtrip", ["roundtrip", *common, "--signal", "x.csv"], None),
+        ("forward_raw", ["forward", *common, *raw, "--out", "raw.ewtc"], "raw.ewtc"),
+        ("inverse_tight", ["inverse", *common, *tight, "--out", "tight.csv"], "tight.csv"),
     )
 
 
@@ -108,9 +116,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
         for index in range(CONFIGS):
-            config, signal = make_config(index)
+            config, signal, raw = make_config(index)
             (folder / "job.json").write_text(json.dumps(config))
             (folder / "x.csv").write_text(signal)
+            (folder / "x.raw").write_bytes(raw)
             (folder / "coef.ewtc").unlink(missing_ok=True)
             for command, argv, output in command_lines():
                 code, data = run(folder, argv, output)
@@ -122,7 +131,7 @@ def main():
     hexes = {command: digests[command].hexdigest() for command in COMMANDS}
     hexes["all"] = total.hexdigest()
     for command, value in hexes.items():
-        print(f"{command:9} {value}")
+        print(f"{command:13} {value}")
     print("runs: " + ", ".join(f"{codes[code]} exit {code}" for code in sorted(codes)))
     print(f"numpy {np.__version__}, python {platform.python_version()}")
     return compare("cli_digest", hexes)
