@@ -119,9 +119,8 @@ def _reconstruct(args, config, bank, coeffs):
 
 def cmd_filters(args) -> int:
     config, bank = _load_job(args)
-    order = bank.grid.order
-    header, columns = ["xi"], [bank.grid.xi[order]]
-    for n, row in zip(bank.support_indices, bank.spectra[:, order]):
+    header, columns = ["xi"], [bank.grid._sorted_xi]
+    for n, row in zip(bank.support_indices, bank.spectra[:, bank.grid.order]):
         header += [f"f{n}_re", f"f{n}_im"]
         columns += [row.real, row.imag]
     formats.write_csv(args.out, header, columns)

@@ -418,21 +418,9 @@ def _gabor(partition: Partition, ray_option: str, n: int, x) -> np.ndarray:
 
 
 def _position(grid: FrequencyGrid, v, side: str):
-    """``np.searchsorted(grid.xi[grid.order], v, side)`` as an int, or a list
-    of ints for an array v, without sorting the grid: every negative bin
-    (N//2 + 1, ..., N - 1 in natural order) sorts before every other one (0,
-    ..., N//2), and each half is ascending, so the position is the sum of
-    the two halves' counts."""
-    half = grid.n_samples // 2 + 1
-    pos = np.searchsorted(grid.xi[half:], v, side) + np.searchsorted(grid.xi[:half], v, side)
-    return pos.tolist()
-
-
-def _write(band, lo: int, first: int, stop: int, values, pref) -> None:
-    """Lay ``pref`` times ``values`` (ascending-xi order, or one float) on
-    sorted positions first, ..., stop - 1 of ``band``, the row's values from
-    sorted position lo on."""
-    np.multiply(pref, values, out=band[first - lo : stop - lo])
+    """The sorted position of v on the grid, ``np.searchsorted`` with
+    ``side``, as an int, or a list of ints for an array v."""
+    return np.searchsorted(grid._sorted_xi, v, side).tolist()
 
 
 def _band_storage(grid: FrequencyGrid, bands, dtype) -> list:
@@ -452,11 +440,9 @@ def _band_storage(grid: FrequencyGrid, bands, dtype) -> list:
 
 def _angles(grid: FrequencyGrid, ramp: tuple, lo: int, hi: int) -> np.ndarray:
     """pi/2 beta((xi - start) / width) of a (start, stop, width) ramp on the
-    bins at sorted positions lo, ..., hi - 1, in that order, the 0, 1 or 2
-    slices of the run joined after an empty array."""
+    bins at sorted positions lo, ..., hi - 1, in that order."""
     start, _, width = ramp
-    x = np.concatenate([np.empty(0)] + [grid.xi[sl] for sl in grid.run_slices(lo, hi)])
-    return HALF_PI * beta((x - start) / width)
+    return HALF_PI * beta((grid._sorted_xi[lo:hi] - start) / width)
 
 
 def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGrid) -> tuple:
@@ -491,12 +477,12 @@ def _sample_bumps(partition: Partition, params: FamilyParams, grid: FrequencyGri
     for i, (pref, (lo, hi), (band, pieces)) in enumerate(
         zip(prefactors, bands, _band_storage(grid, bands, dtype))
     ):
-        rise, fall = runs[i], runs[i + 1]
-        # a plateau bin on the fall's start takes the fall's 1.0 instead
-        _write(band, lo, rise[1], fall[0], 1.0, pref)
-        rise_angles, angles = angles, _angles(grid, ramps[i + 1], fall[0], fall[2])
-        _write(band, lo, fall[0], fall[2], np.cos(angles), pref)
-        _write(band, lo, rise[0], rise[1], np.sin(rise_angles[: rise[1] - rise[0]]), pref)
+        # offsets in the band; a plateau bin on the fall's start takes its 1.0
+        plateau, fall = runs[i][1] - lo, runs[i + 1][0] - lo
+        np.multiply(pref, 1.0, out=band[plateau:fall])
+        rise_angles, angles = angles, _angles(grid, ramps[i + 1], lo + fall, hi)
+        np.multiply(pref, np.cos(angles), out=band[fall:])
+        np.multiply(pref, np.sin(rise_angles[:plateau]), out=band[:plateau])
         rows.append((pieces, pref * np.zeros(1, complex) if hi - lo < n_bins else None))
     return tuple(bands), tuple(rows)
 
@@ -526,12 +512,11 @@ def _sample_direct(partition: Partition, params: FamilyParams, grid: FrequencyGr
             lo, hi = _position(grid, first, "left"), _position(grid, last, "right")
         plans.append((evaluate, (lo, hi)))
     bands = [band for _, band in plans]
-    rows = []
-    for (evaluate, (lo, hi)), (_, pieces) in zip(plans, _band_storage(grid, bands, dtype)):
-        first_out = grid.run_slices(hi, hi + 1)[0]
-        zero = evaluate(grid.xi[first_out]).astype(complex) if hi - lo < grid.n_samples else None
-        for piece, sl in zip(pieces, grid.run_slices(lo, hi)):
-            piece[...] = evaluate(grid.xi[sl])
+    xi, n_bins, rows = grid._sorted_xi, grid.n_samples, []
+    for (evaluate, (lo, hi)), (band, pieces) in zip(plans, _band_storage(grid, bands, dtype)):
+        after = hi % n_bins
+        zero = evaluate(xi[after : after + 1]).astype(complex) if hi - lo < n_bins else None
+        band[...] = evaluate(xi[lo:hi])
         rows.append((pieces, zero))
     return tuple(bands), tuple(rows)
 

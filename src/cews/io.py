@@ -170,14 +170,16 @@ def load_config(path, n_samples_override: int = None) -> JobConfig:
 
 
 def convert_hz(config: JobConfig, sample_rate: float) -> JobConfig:
-    """Reinterpret finite boundaries as Hz and convert them to finite radians."""
+    """Reinterpret finite boundaries as Hz and convert them to finite
+    radians, nonzero where the Hz value is: a boundary that overflows to
+    +-inf or underflows to +-0.0 names its index."""
     rate = float(sample_rate)
     if not 0.0 < rate < math.inf:
         raise InputFormatError(f"sample rate must be finite and > 0, got {rate}")
     scale = 2.0 * math.pi / rate
     converted = tuple(v * scale if math.isfinite(v) else v for v in config.boundaries)
     for i, (v, w) in enumerate(zip(config.boundaries, converted)):
-        if math.isfinite(v) != math.isfinite(w):
+        if math.isfinite(v) != math.isfinite(w) or (v != 0.0 and w == 0.0):
             raise InputFormatError(f"boundaries[{i}]: {v} Hz at sample rate {rate} is {w} rad")
     return replace(config, boundaries=converted)
 

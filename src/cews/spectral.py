@@ -8,7 +8,8 @@ theorem reads as a plain pointwise product of spectra. All functions are pure
 and safe to call concurrently.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,27 +22,38 @@ TWO_PI = 2.0 * np.pi
 class FrequencyGrid:
     """N-point sampling of the normalized frequency interval (-pi, pi].
 
-    Bin k carries xi = 2*pi*k/N for k <= N/2 and xi = 2*pi*(k-N)/N above, so
-    the layout matches natural DFT bin order and, for even N, the Nyquist bin
-    holds +pi exactly.
+    A grid is its N. Its bin frequencies, ascending, are ``_sorted_xi``:
+    sorted position j holds (j - (N-1)//2) * 2*pi/N, and, for even N, the
+    last one holds +pi exactly. ``xi`` lists them in natural DFT bin order:
+    bin k carries 2*pi*k/N for k <= N/2 and 2*pi*(k-N)/N above. Both are
+    read-only and computed on first read.
     """
 
     n_samples: int
-    xi: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = int(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
-        # float(k) - n is exactly float(k - n) for every n below 2^53
+        object.__setattr__(self, "n_samples", n)
+
+    @cached_property
+    def _sorted_xi(self) -> np.ndarray:
+        n = self.n_samples
+        # float(j) - (n-1)//2 is exact for every n below 2^53
         xi = np.arange(n, dtype=float)
-        xi[n // 2 + 1 :] -= n
+        xi -= (n - 1) // 2
         xi *= TWO_PI / n
         if n % 2 == 0:
-            xi[n // 2] = np.pi
+            xi[-1] = np.pi
         xi.setflags(write=False)
-        object.__setattr__(self, "n_samples", n)
-        object.__setattr__(self, "xi", xi)
+        return xi
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        xi = np.roll(self._sorted_xi, self.n_samples // 2 + 1)
+        xi.setflags(write=False)
+        return xi
 
     @property
     def spacing(self) -> float:
@@ -54,8 +66,7 @@ class FrequencyGrid:
 
         It is a rotation: sorted position j holds bin (j + N//2 + 1) mod N.
         """
-        runs = self.run_slices(0, self.n_samples)
-        return np.concatenate([np.arange(sl.start, sl.stop) for sl in runs])
+        return np.roll(np.arange(self.n_samples), -(self.n_samples // 2 + 1))
 
     def run_slices(self, lo: int, hi: int) -> list:
         """Natural-order slices holding sorted positions lo, ..., hi - 1.

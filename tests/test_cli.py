@@ -723,6 +723,25 @@ class TestErrorPaths:
         assert payload["error"] == "InputFormatError"
         assert payload["message"].startswith(bad)
 
+    @pytest.mark.parametrize(
+        "mode, boundaries, bad",
+        # at 1e300 Hz, 2 pi / rate is 6.3e-300, and a 1e-30 Hz boundary
+        # times it is below the smallest subnormal
+        [
+            ("V", ["-inf", -1e-30, 0, 1e-30, "+inf"], "boundaries[1]: -1e-30 Hz "),
+            ("Vstar", ["-inf", -1, 1e-30, 1, "+inf"], "boundaries[2]: 1e-30 Hz "),
+        ],
+    )
+    def test_hz_that_underflows_a_boundary_exits_2(
+        self, capsys, config_path, mode, boundaries, bad
+    ):
+        config = config_path(mode=mode, boundaries=boundaries, n_samples=64)
+        code, out, err = run(capsys, "frame", "--config", config, "--hz", "1e300")
+        assert code == 2
+        payload = error_payload(out, err)
+        assert payload["error"] == "InputFormatError"
+        assert payload["message"].startswith(bad) and payload["message"].endswith("0.0 rad")
+
     @pytest.mark.parametrize("damaged", ["config", "signal"])
     def test_non_utf8_input_exits_2(self, capsys, config_path, signal_path, tmp_path, damaged):
         config = config_path(n_samples=64)

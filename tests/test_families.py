@@ -477,16 +477,17 @@ class TestBands:
 
 
 class TestSamplingPlan:
-    """sample_bank finds bands without sorting the grid and shares each
+    """sample_bank finds bands in the grid's ascending frequencies and shares each
     roll-off ramp between the two filters that meet on it; every row must
     still be its public evaluator on the whole grid."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 4097])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 63, 64, 4097])
     def test_band_search_is_the_sorted_grid_search(self, n):
         grid = FrequencyGrid(n)
-        ascending = grid.xi[grid.order]
+        ascending = np.sort(grid.xi)
         between = (ascending[:-1] + ascending[1:]) / 2
-        for v in [*ascending, *between, PI, -PI, INF, -INF]:
+        neighbours = [*np.nextafter(ascending, -INF), *np.nextafter(ascending, INF)]
+        for v in [*ascending, *between, *neighbours, PI, -PI, 0.0, -0.0, INF, -INF]:
             for side in ("left", "right"):
                 expected = int(np.searchsorted(ascending, v, side))
                 assert _position(grid, v, side) == expected, (v, side)
@@ -502,6 +503,22 @@ class TestSamplingPlan:
             assert positions == [_position(grid, v, side) for v in values]
             assert positions == np.searchsorted(grid.xi[grid.order], values, side).tolist()
             assert all(type(p) is int for p in positions)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FamilyParams("littlewood-paley", gamma=0.1),
+            FamilyParams("meyer"),
+            FamilyParams("shannon"),
+            FamilyParams("gabor", gabor_rays="local"),
+            FamilyParams("gabor", gabor_rays="extended"),
+        ],
+    )
+    def test_sampling_reads_only_the_ascending_grid(self, params):
+        grid = FrequencyGrid(64)
+        bank = sample_bank(build_partition("Vstar", (-INF, -1.0, 0.5, 2.0, INF)), params, grid)
+        assert "xi" not in grid.__dict__ and "_sorted_xi" in grid.__dict__
+        assert bank.grid is grid
 
     def test_meyer_ramp_ending_on_a_bin(self):
         grid = FrequencyGrid(64)

@@ -110,6 +110,17 @@ class TestConfig:
         rays = convert_hz(tiny, 3.5e-308)
         assert rays.boundaries[0] == -INF and rays.boundaries[-1] == INF
         assert all(math.isfinite(v) for v in rays.boundaries[1:-1])
+        # a huge rate underflows a tiny boundary times 2 pi / rate to +-0.0
+        for mode, ends, bad in [
+            ("V", ["-inf", -1e-30, 0, 1e-30, "+inf"], r"boundaries\[1\]: -1e-30 Hz .* is -0\.0 rad$"),
+            ("Vstar", ["-inf", -1, 1e-30, 1, "+inf"], r"boundaries\[2\]: 1e-30 Hz .* is 0\.0 rad$"),
+        ]:
+            small = parse_config({**BASE_CONFIG, "mode": mode, "boundaries": ends})
+            with pytest.raises(InputFormatError, match=f"^{bad}"):
+                convert_hz(small, 1e300)
+        # 0 Hz is 0 rad, and the smallest subnormal survives a rate of 2 pi
+        kept = parse_config({**BASE_CONFIG, "mode": "V", "boundaries": ["-inf", -5e-324, 0, 1, "+inf"]})
+        assert convert_hz(kept, 2.0 * math.pi).boundaries[1:3] == (-5e-324, 0.0)
 
     def test_realize_bank_defaults_gamma(self):
         bank = realize_bank(parse_config(BASE_CONFIG))

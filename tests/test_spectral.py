@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,18 @@ def signed_bin_xi(n):
     return xi
 
 
+def natural_bin_xi(n):
+    """The grid built in natural bin order, as ``FrequencyGrid`` once stored
+    it: bins 0, ..., N - 1 as floats, N taken off the upper half, times
+    2 pi / N, Nyquist set to pi."""
+    xi = np.arange(n, dtype=float)
+    xi[n // 2 + 1 :] -= n
+    xi *= TWO_PI / n
+    if n % 2 == 0:
+        xi[n // 2] = np.pi
+    return xi
+
+
 class TestFrequencyGrid:
     @pytest.mark.parametrize(
         "sizes", [range(1, 4097), (2**17 + 1, 2**20 - 1, 2**20)], ids=["1-4096", "large"]
@@ -31,6 +45,19 @@ class TestFrequencyGrid:
     def test_xi_is_the_signed_bin_formula_bit_for_bit(self, sizes):
         for n in sizes:
             assert FrequencyGrid(n).xi.tobytes() == signed_bin_xi(n).tobytes(), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 2**16, 2**17 + 1])
+    def test_ascending_xi_is_the_sorted_natural_grid_bit_for_bit(self, n):
+        grid, expected = FrequencyGrid(n), natural_bin_xi(n)
+        assert grid._sorted_xi.tobytes() == expected[grid.order].tobytes()
+        assert grid._sorted_xi.tobytes() == np.sort(expected).tobytes()
+        assert grid.xi.tobytes() == expected.tobytes()
+        assert not grid.xi.flags.writeable and not grid._sorted_xi.flags.writeable
+
+    def test_a_grid_is_its_sample_count(self):
+        assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["n_samples"]
+        grid = FrequencyGrid(8)
+        assert grid.xi is grid.xi and grid._sorted_xi is grid._sorted_xi
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 4096])
     def test_bin_mapping(self, n):

@@ -18,16 +18,36 @@ round, the median over rounds and the fastest pass of all:
 
     python3 tools/bench_pairs.py probe PARENT CHANGE --seed 24000 > probe.json
 
+Large-N CLI probe: ``forward --raw``, ``inverse`` (CSV out) and ``roundtrip
+--raw`` at N=2^20, and ``filters`` at N=2^18, on Littlewood-Paley Vstar
+partitions with K=33 and K=17 supports. Every job is one fresh process, the
+change first in even rounds and the parent first in odd ones. A wrapper
+calls ``cews.cli.main`` and at exit writes the job's own ``VmHWM`` from
+``/proc/self/status`` (``RUSAGE_CHILDREN`` would report this process's peak
+instead); wall time is measured around the process. Inputs and outputs live
+in a temporary directory, and jobs write no bytecode. It prints, per
+command, each side's quartiles, the change's median over the parent's, and
+whether every job wrote the same bytes. ``--tiny`` runs N=2^10 and 2^8, a
+smoke test of the probe:
+
+    python3 tools/bench_pairs.py cli-large PARENT CHANGE --rounds 3 > cli_large.json
+
 Checkouts are processed one at a time and nothing runs in parallel.
 """
 
 import argparse
+import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 METRICS = ("ops_per_s", "op_s_p50", "op_s_p90", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
@@ -59,6 +79,97 @@ for family, (bank, dual) in zip(stream.families, banks):
     }
 print(json.dumps(out))
 """
+
+
+JOB = r"""
+import sys
+sys.path.insert(0, "src")
+from cews.cli import main
+try:
+    code = main(sys.argv[2:])
+finally:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    with open(sys.argv[1], "w") as side:
+        side.write(str(peak_kb))
+sys.exit(code)
+"""
+
+
+def lp_vstar(n_supports: int, n_samples: int) -> dict:
+    """A Littlewood-Paley Vstar config: K - 1 evenly spaced finite boundaries
+    in [-3, 3], an even count, so none is 0."""
+    step = 6.0 / (n_supports - 2)
+    inner = [-3.0 + i * step for i in range(n_supports - 1)]
+    return {"mode": "Vstar", "boundaries": ["-inf", *inner, "+inf"],
+            "family": "littlewood-paley", "n_samples": n_samples}
+
+
+def cli_jobs(work: Path, large: int, filters_n: int) -> dict:
+    """Write the probe's configs and raw signal into ``work``; the command
+    lines of its four jobs, each writing to ``{out}``."""
+    (work / "k33.json").write_text(json.dumps(lp_vstar(33, large)))
+    (work / "k17.json").write_text(json.dumps(lp_vstar(17, filters_n)))
+    rng = np.random.default_rng(28)
+    rng.standard_normal(2 * large).astype("<f8").tofile(work / "x.raw")
+    k33, k17, raw = (str(work / name) for name in ("k33.json", "k17.json", "x.raw"))
+    return {
+        "forward --raw": ["forward", "--config", k33, "--signal", raw, "--raw", "--out", "{out}"],
+        "inverse": ["inverse", "--config", k33, "--coef", str(work / "x.ewtc"), "--out", "{out}"],
+        "roundtrip --raw": ["roundtrip", "--config", k33, "--signal", raw, "--raw"],
+        "filters": ["filters", "--config", k17, "--out", "{out}"],
+    }
+
+
+def run_job(checkout: Path, argv, out: Path) -> dict:
+    """One job in a fresh process: its wall time, its own peak RSS, and the
+    SHA-256 of what it wrote (its output file, else its stdout)."""
+    side, writes = out.with_suffix(".vmhwm"), "{out}" in argv
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [str(out) if a == "{out}" else a for a in argv]
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", JOB, str(side), *argv], cwd=checkout,
+                          env=env, capture_output=True, check=True)
+    wall = time.perf_counter() - t0
+    written = out.read_bytes() if writes else done.stdout
+    return {"wall_s": wall, "vmhwm_mb": int(side.read_text()) / 1024.0,
+            "sha256": hashlib.sha256(written).hexdigest()}
+
+
+def cli_large(parent: Path, change: Path, rounds: int, tiny: bool) -> dict:
+    large, filters_n = (2**10, 2**8) if tiny else (2**20, 2**18)
+    with tempfile.TemporaryDirectory(prefix="cli-large-") as tmp:
+        work = Path(tmp)
+        jobs = cli_jobs(work, large, filters_n)
+        # the coefficients that ``inverse`` reads, written once by the change
+        run_job(change, jobs["forward --raw"], work / "x.ewtc")
+        runs = {name: {"parent": [], "change": []} for name in jobs}
+        for i in range(rounds):
+            sides = (("change", change), ("parent", parent))
+            for name, argv in jobs.items():
+                for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                    out = work / f"{side}.out"
+                    out.unlink(missing_ok=True)
+                    runs[name][side].append(run_job(checkout, argv, out))
+                    print(name, side, runs[name][side][-1], file=sys.stderr)
+    summary = {}
+    for name, by_side in runs.items():
+        summary[name] = {
+            side: {
+                "wall_s": quartiles([r["wall_s"] for r in results]),
+                "vmhwm_mb": quartiles([r["vmhwm_mb"] for r in results]),
+                "wall_s_runs": [r["wall_s"] for r in results],
+                "vmhwm_mb_runs": [r["vmhwm_mb"] for r in results],
+            }
+            for side, results in by_side.items()
+        }
+        for metric in ("wall_s", "vmhwm_mb"):
+            a, b = (summary[name][side][metric]["median"] for side in ("parent", "change"))
+            summary[name][f"{metric}_change_vs_parent"] = b / a - 1.0
+        summary[name]["same_output"] = len({r["sha256"] for rs in by_side.values() for r in rs}) == 1
+    return {"n_samples": large, "filters_n_samples": filters_n, "rounds": rounds,
+            "first": ["change" if i % 2 == 0 else "parent" for i in range(rounds)],
+            "commands": summary}
 
 
 def quartiles(values):
@@ -153,11 +264,18 @@ def main(argv=None):
     q.add_argument("parent", type=Path)
     q.add_argument("change", type=Path)
     q.add_argument("--seed", type=int, default=0)
+    c = sub.add_parser("cli-large")
+    c.add_argument("parent", type=Path)
+    c.add_argument("change", type=Path)
+    c.add_argument("--rounds", type=int, default=3)
+    c.add_argument("--tiny", action="store_true")
     args = parser.parse_args(argv)
     if args.command == "pairs":
         result = pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seeds)
-    else:
+    elif args.command == "probe":
         result = probe(args.parent.resolve(), args.change.resolve(), args.seed)
+    else:
+        result = cli_large(args.parent.resolve(), args.change.resolve(), args.rounds, args.tiny)
     print(json.dumps(result, indent=1))
 
 
