@@ -15,6 +15,7 @@ import numpy as np
 
 from . import io as formats
 from .errors import EwtError, InputFormatError, ShapeMismatch, SingularFrame
+from .families import _fill
 from .frame_analysis import frame_report
 from .partition import build_partition
 from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
@@ -119,8 +120,11 @@ def _reconstruct(args, config, bank, coeffs):
 
 def cmd_filters(args) -> int:
     config, bank = _load_job(args)
-    header, columns = ["xi"], [bank.grid._sorted_xi]
-    for n, row in zip(bank.support_indices, bank.spectra[:, bank.grid.order]):
+    header, columns, order = ["xi"], [bank.grid._sorted_xi], bank.grid.order
+    for n, layout in zip(bank.support_indices, bank._layout()):
+        row = np.zeros(order.size, dtype=complex)
+        _fill(row, *layout)
+        row = row[order]
         header += [f"f{n}_re", f"f{n}_im"]
         columns += [row.real, row.imag]
     formats.write_csv(args.out, header, columns)

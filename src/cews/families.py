@@ -117,9 +117,11 @@ class FilterBank:
     complex value with imaginary part +0.0, and complex128 otherwise; every
     zero is complex128. On a dual from ``dual_bank``, ``rows`` is a
     :class:`_Quotients`, the bank and S, and the bank's values are divided
-    by S as they are read. Every library function reads a bank through
-    :meth:`_layout`, so none builds the dense ``spectra``, and
-    ``dataclasses.replace`` copies the rows and builds nothing.
+    by S as they are read. Every library function and CLI command reads a
+    bank through :meth:`_layout`, so none builds the dense ``spectra``, and
+    ``dataclasses.replace`` copies the rows and builds nothing. A bank holds
+    one band, and one row unless ``rows`` is a :class:`_Quotients`, per
+    support of its partition; the constructor checks this.
 
     ``spectra`` is a read-only view, built on first read and cached. That
     read points the rows at slices of it, which frees the band values: a
@@ -134,6 +136,13 @@ class FilterBank:
     bands: tuple = field(repr=False)
     rows: tuple = field(repr=False)
     singular_bins: tuple = ()
+
+    def __post_init__(self):
+        count = len(self.partition.supports)
+        if len(self.bands) != count or (
+            not isinstance(self.rows, _Quotients) and len(self.rows) != count
+        ):
+            raise ValueError(f"a bank on {count} supports needs {count} bands and rows")
 
     @property
     def support_indices(self) -> tuple:

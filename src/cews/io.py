@@ -207,31 +207,28 @@ def realize_bank(config: JobConfig) -> FilterBank:
 
 
 def read_signal_csv(path, n_expected: int = None) -> np.ndarray:
-    """Read a signal CSV with header 're' or 're,im'. Lines end only at a
-    line feed (``str.splitlines`` would also end one at a form feed or NEL)."""
+    """Read a signal CSV with header 're' or 're,im', each cell through
+    ``str.strip`` and ``float`` (imaginary parts +0.0 for 're'). Lines end only
+    at a line feed (``str.splitlines`` would also end one at a form feed or NEL)."""
     lines = _read_text(path).split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise InputFormatError(f"{path}: empty signal file")
     header = [c.strip() for c in lines[0].split(",")]
-    if header == ["re"]:
-        has_imag = False
-    elif header == ["re", "im"]:
-        has_imag = True
-    else:
+    if header not in (["re"], ["re", "im"]):
         raise InputFormatError(f"{path}: header must be 're' or 're,im', got {lines[0]!r}")
-    values = np.zeros(len(lines) - 1, dtype=complex)
+    samples = []
     for i, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != len(header):
             raise InputFormatError(f"{path}: line {i}: expected {len(header)} columns")
         try:
-            re = float(cells[0])
-            im = float(cells[1]) if has_imag else 0.0
+            samples.append(complex(*map(float, map(str.strip, cells))))
         except ValueError as exc:
             raise InputFormatError(f"{path}: line {i}: {exc}") from exc
-        values[i - 2] = complex(re, im)
+    del lines  # the line strings go before the array is built
+    values = np.array(samples, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InputFormatError(f"{path}: line {bad[0] + 2}: sample is not finite")
@@ -248,8 +245,8 @@ def write_csv(path, header, columns) -> None:
     with open(path, "w") as out:
         out.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = zip(*(c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns))
-            out.write("".join(",".join(map(repr, row)) + "\n" for row in block))
+            cells = (map(repr, c[start : start + _CSV_BLOCK_ROWS].tolist()) for c in columns)
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_signal_csv(path, values, real_only: bool = False) -> None:
@@ -365,17 +362,15 @@ def _cut_bins(mag, order, count, anchor_first):
     ``count`` cuts instead of count - 1.
     """
     line = mag[order]
-    peaks = [
-        p
-        for p in range(1, len(order) - 1)
-        if line[p - 1] < line[p] and line[p] > line[p + 1]
-    ]
-    if len(peaks) < count:
+    inner = line[1:-1]
+    peaks = 1 + np.flatnonzero((line[:-2] < inner) & (inner > line[2:]))
+    if peaks.size < count:
         raise FewerPeaksThanRequested(
-            f"found {len(peaks)} spectral peaks, need {count}"
+            f"found {peaks.size} spectral peaks, need {count}"
         )
-    top = sorted(sorted(peaks, key=lambda p: line[p])[-count:])
-    anchors = ([0] if anchor_first else []) + top
+    # the count largest maxima, a tie at the cut kept at its higher positions
+    top = np.sort(peaks[np.argsort(line[peaks], kind="stable")[-count:]])
+    anchors = ([0] if anchor_first else []) + top.tolist()
     cuts = []
     for a, b in zip(anchors, anchors[1:]):
         if b - a < 2:

@@ -234,6 +234,25 @@ class TestFilters:
         assert table[:, 1::2].T.tobytes() == spectra.real.tobytes()
         assert table[:, 2::2].T.tobytes() == spectra.imag.tobytes()
 
+    def test_no_command_reads_the_dense_view(
+        self, capsys, monkeypatch, config_path, signal_path, tmp_path
+    ):
+        def refuse(bank):
+            raise AssertionError("FilterBank.spectra was read")
+
+        monkeypatch.setattr(cews.FilterBank, "spectra", property(refuse))
+        config, (signal, _) = config_path(n_samples=64), signal_path(n=64)
+        coef = str(tmp_path / "x.ewtc")
+        for argv in (
+            ["filters", "--out", str(tmp_path / "filters.csv")],
+            ["forward", "--signal", signal, "--out", coef],
+            ["inverse", "--coef", coef, "--out", str(tmp_path / "rec.csv")],
+            ["inverse", "--coef", coef, "--out", str(tmp_path / "rec.csv"), "--tight", "1.0"],
+            ["roundtrip", "--signal", signal],
+            ["frame", "--sum-squares"],
+        ):
+            assert run(capsys, *argv, "--config", config)[0] == 0, argv
+
 
 class TestForwardInverse:
     def test_pipeline_files(self, capsys, config_path, signal_path, tmp_path):

@@ -366,6 +366,13 @@ class TestSampleBank:
         with pytest.raises(TypeError, match="spectra"):
             FilterBank(spectra=dense, **{f.name: getattr(bank, f.name) for f in fields(bank)})
 
+    @pytest.mark.parametrize("short", [("bands",), ("rows",), ("bands", "rows")])
+    def test_constructor_checks_one_band_and_row_per_support(self, short):
+        partition = build_partition(*VSTAR_SYMMETRIC)
+        bank = sample_bank(partition, FamilyParams("shannon"), FrequencyGrid(16))
+        with pytest.raises(ValueError, match="3 supports needs 3 bands and rows"):
+            replace(bank, **{name: getattr(bank, name)[:2] for name in short})
+
     def test_replacing_the_spectra_resets_the_bands(self, grid_partition):
         bank = sample_bank(grid_partition, FamilyParams("shannon"), FrequencyGrid(32))
         assert bank.bands != ((0, 32),) * 7

@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cews import FamilyParams, FrequencyGrid, build_partition, forward, sample_bank
 from cews.errors import FewerPeaksThanRequested, InputFormatError, LengthMismatch
 from cews.io import (
     JobConfig,
     _cut_bins,
+    _read_text,
     convert_hz,
     decode_boundary,
     encode_boundary,
@@ -194,6 +196,83 @@ class TestSignalCsv:
         assert np.array_equal(read_signal_csv(path, n_expected=9), z[0] + 1j * z[1])
 
 
+def reference_read_signal_csv(path, n_expected=None):
+    """The signal reader as a per-sample loop, an oracle for read_signal_csv."""
+    lines = _read_text(path).split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise InputFormatError(f"{path}: empty signal file")
+    header = [c.strip() for c in lines[0].split(",")]
+    if header == ["re"]:
+        has_imag = False
+    elif header == ["re", "im"]:
+        has_imag = True
+    else:
+        raise InputFormatError(f"{path}: header must be 're' or 're,im', got {lines[0]!r}")
+    values = np.zeros(len(lines) - 1, dtype=complex)
+    for i, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise InputFormatError(f"{path}: line {i}: expected {len(header)} columns")
+        try:
+            re = float(cells[0])
+            im = float(cells[1]) if has_imag else 0.0
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: line {i}: {exc}") from exc
+        values[i - 2] = complex(re, im)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputFormatError(f"{path}: line {bad[0] + 2}: sample is not finite")
+    if n_expected is not None and values.size != n_expected:
+        raise LengthMismatch(f"{path}: {values.size} samples, expected {n_expected}")
+    return values
+
+
+def outcome(call, *args):
+    """What a call returns, as bytes or a list of ints, or the type and
+    message of the error it raises."""
+    try:
+        result = call(*args)
+    except (InputFormatError, LengthMismatch, FewerPeaksThanRequested) as exc:
+        return type(exc), str(exc)
+    return result.tobytes() if isinstance(result, np.ndarray) else [int(v) for v in result]
+
+
+# cells that float() reads only after str.strip, or reads in ways a
+# hand-written parser might not, and cells it rejects or reads as non-finite
+FINITE_CELLS = st.one_of(
+    st.sampled_from([" 1.5 ", "1_0", "-0.0", "3.\r", "\x1c2.5"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+BAD_CELLS = st.sampled_from(["infinity", "1e400", "nan", "0x10", "", "x"])
+
+
+@st.composite
+def signal_csv_texts(draw):
+    """A signal file's text: a header, mostly a valid one, then lines of
+    1 to 3 cells, in half the files as many as the header names, then
+    blank lines. Half the files hold only cells that read as finite."""
+    header = draw(st.sampled_from(["re", "re,im", " re , im\r"] * 3 + ["im", "re,im,re"]))
+    width = len(header.split(","))
+    widths = draw(st.sampled_from([st.just(width), st.integers(1, 3)]))
+    cells = draw(st.sampled_from([FINITE_CELLS, st.one_of(FINITE_CELLS, BAD_CELLS)]))
+    line = widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w))
+    lines = draw(st.lists(line, max_size=6))
+    trailing = draw(st.lists(st.sampled_from(["", " ", "\r", "\x1c"]), max_size=2))
+    return "\n".join([header, *map(",".join, lines), *trailing])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=signal_csv_texts(), n_expected=st.one_of(st.none(), st.integers(0, 6)))
+def test_signal_reader_matches_the_per_sample_loop(tmp_path_factory, text, n_expected):
+    path = tmp_path_factory.mktemp("csv") / "signal.csv"
+    path.write_bytes(text.encode())
+    assert outcome(read_signal_csv, path, n_expected) == outcome(
+        reference_read_signal_csv, path, n_expected
+    )
+
+
 class TestSignalRaw:
     def test_real_and_complex(self, tmp_path):
         path = tmp_path / "signal.bin"
@@ -351,3 +430,51 @@ class TestProposeBoundaries:
         # peaks at bins 1 and 5; the smallest of bins 2, 3 and 4 is bin 3
         line = np.array([0.0, 5.0, 3.0, 1.0, 2.0, 6.0, 0.0])
         assert _cut_bins(line, np.arange(7), 2, anchor_first=False) == [3]
+
+
+def reference_cut_bins(mag, order, count, anchor_first):
+    """_cut_bins as a per-bin loop, an oracle for its array search."""
+    line = mag[order]
+    peaks = [
+        p
+        for p in range(1, len(order) - 1)
+        if line[p - 1] < line[p] and line[p] > line[p + 1]
+    ]
+    if len(peaks) < count:
+        raise FewerPeaksThanRequested(
+            f"found {len(peaks)} spectral peaks, need {count}"
+        )
+    top = sorted(sorted(peaks, key=lambda p: line[p])[-count:])
+    anchors = ([0] if anchor_first else []) + top
+    cuts = []
+    for a, b in zip(anchors, anchors[1:]):
+        if b - a < 2:
+            raise FewerPeaksThanRequested(
+                "adjacent peaks leave no bin for a boundary between them"
+            )
+        segment = line[a + 1 : b]
+        cuts.append(order[a + 1 + int(np.argmin(segment))])
+    return cuts
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, math.nan]), st.sampled_from([1.0, 2.0, 3.0, INF])),
+        max_size=40,
+    ),
+    anchor_first=st.booleans(),
+    data=st.data(),
+)
+def test_cut_bins_matches_the_per_bin_loop(steps, anchor_first, data):
+    # in ascending order, mostly a valley then a crest, from few magnitudes,
+    # so that many maxima tie, and more than 16 of them, where numpy's
+    # default sort is unstable
+    line = np.array(steps, dtype=float).ravel()
+    order = np.array(data.draw(st.permutations(range(line.size))), dtype=np.intp)
+    mag = np.empty_like(line)
+    mag[order] = line
+    count = data.draw(st.integers(1, len(steps) + 1))
+    assert outcome(_cut_bins, mag, order, count, anchor_first) == outcome(
+        reference_cut_bins, mag, order, count, anchor_first
+    )

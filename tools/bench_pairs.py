@@ -19,12 +19,13 @@ round, the median over rounds and the fastest pass of all:
     python3 tools/bench_pairs.py probe PARENT CHANGE --seed 24000 > probe.json
 
 Large-N CLI probe: ``forward --raw``, ``inverse`` (CSV out) and ``roundtrip
---raw`` at N=2^20, and ``filters`` at N=2^18, on Littlewood-Paley Vstar
-partitions with K=33 and K=17 supports. Every job is one fresh process, the
-change first in even rounds and the parent first in odd ones. A wrapper
-calls ``cews.cli.main`` and at exit writes the job's own ``VmHWM`` from
-``/proc/self/status`` (``RUSAGE_CHILDREN`` would report this process's peak
-instead); wall time is measured around the process. Inputs and outputs live
+--raw`` at N=2^20, and ``filters`` and ``roundtrip`` (a ``re,im`` CSV signal)
+at N=2^18, on Littlewood-Paley Vstar partitions with K=33 and K=17
+supports. Every job is one fresh process, the change first in even rounds
+and the parent first in odd ones. A wrapper calls ``cews.cli.main`` and at
+exit writes the job's own ``VmHWM`` from ``/proc/self/status``
+(``RUSAGE_CHILDREN`` would report this process's peak instead); wall time
+is measured around the process. Inputs and outputs live
 in a temporary directory, and jobs write no bytecode. It prints, per
 command, each side's quartiles, the change's median over the parent's, and
 whether every job wrote the same bytes. ``--tiny`` runs N=2^10 and 2^8, a
@@ -106,18 +107,21 @@ def lp_vstar(n_supports: int, n_samples: int) -> dict:
 
 
 def cli_jobs(work: Path, large: int, filters_n: int) -> dict:
-    """Write the probe's configs and raw signal into ``work``; the command
-    lines of its four jobs, each writing to ``{out}``."""
+    """Write the probe's configs, raw signal and CSV signal into ``work``;
+    the command lines of its five jobs, each writing to ``{out}``."""
     (work / "k33.json").write_text(json.dumps(lp_vstar(33, large)))
     (work / "k17.json").write_text(json.dumps(lp_vstar(17, filters_n)))
     rng = np.random.default_rng(28)
     rng.standard_normal(2 * large).astype("<f8").tofile(work / "x.raw")
-    k33, k17, raw = (str(work / name) for name in ("k33.json", "k17.json", "x.raw"))
+    samples = rng.standard_normal((filters_n, 2)).tolist()
+    (work / "x.csv").write_text("re,im\n" + "".join(f"{re!r},{im!r}\n" for re, im in samples))
+    k33, k17, raw, csv = (str(work / name) for name in ("k33.json", "k17.json", "x.raw", "x.csv"))
     return {
         "forward --raw": ["forward", "--config", k33, "--signal", raw, "--raw", "--out", "{out}"],
         "inverse": ["inverse", "--config", k33, "--coef", str(work / "x.ewtc"), "--out", "{out}"],
         "roundtrip --raw": ["roundtrip", "--config", k33, "--signal", raw, "--raw"],
         "filters": ["filters", "--config", k17, "--out", "{out}"],
+        "roundtrip": ["roundtrip", "--config", k17, "--signal", csv],
     }
 
 
