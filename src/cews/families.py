@@ -75,22 +75,18 @@ class _Quotients(NamedTuple):
 
 
 def _divide(values, denom) -> np.ndarray:
-    """values / denom for a positive real denom, complex or real as values
-    are. numpy divides a complex number by a real S as (a + b*0) * (1/S),
-    and 1/S overflows where S is below the smallest normal float, so there
-    both are scaled by 2^64 first, which is exact; real and imaginary parts
-    apart, since a complex times a real is not. Real values stand for
-    complex ones with imaginary part +0.0, and are divided by that same
-    formula, (a + 0.0) * (1/S), whose quotient has imaginary part +0.0 too:
-    a plain a / S would round differently."""
+    """values / denom as a new complex array, for a positive real denom:
+    real values, standing for (a, +0.0), are promoted first. numpy divides a
+    complex by a real S as (a + b*0) * (1/S), not as a / S, which rounds
+    differently. 1/S overflows where S is below the smallest normal float,
+    so there both are scaled by 2^64 first, which is exact; real and
+    imaginary parts apart, since a complex times a real is not."""
+    out = values.astype(complex)
     small = denom < np.finfo(float).tiny
     if small.any():
-        values, denom = values.copy(), denom.copy()
-        values.view(float).reshape(values.size, -1)[small] *= 2.0**64
-        denom[small] *= 2.0**64
-    if values.dtype == complex:
-        return values / denom
-    return (values + 0.0) * (1.0 / denom)
+        out.view(float).reshape(out.size, 2)[small] *= 2.0**64
+        denom = np.where(small, denom * 2.0**64, denom)
+    return np.divide(out, denom, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +111,12 @@ class FilterBank:
     1-element array, None if the band is the whole row. Values are float64
     for a sampled Littlewood-Paley or Gabor bank, each standing for the
     complex value with imaginary part +0.0, and complex128 otherwise; every
-    zero is complex128. On a dual from ``dual_bank``, ``rows`` is a
-    :class:`_Quotients`, the bank and S, and the bank's values are divided
-    by S as they are read. Every library function and CLI command reads a
-    bank through :meth:`_layout`, so none builds the dense ``spectra``, and
+    zero is complex128. Only the samplers store floats: readers promote
+    values with ``astype(complex)`` before conjugating or dividing them. On
+    a dual from ``dual_bank``, ``rows`` is a :class:`_Quotients`, the bank
+    and S, and the bank's values are divided by S, into complex quotients,
+    as they are read. Every library function and CLI command reads a bank
+    through :meth:`_layout`, so none builds the dense ``spectra``, and
     ``dataclasses.replace`` copies the rows and builds nothing. A bank holds
     one band, and one row unless ``rows`` is a :class:`_Quotients`, per
     support of its partition; the constructor checks this.

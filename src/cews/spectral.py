@@ -8,6 +8,7 @@ theorem reads as a plain pointwise product of spectra. All functions are pure
 and safe to call concurrently.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,9 @@ class FrequencyGrid:
     n_samples: int
 
     def __post_init__(self):
-        n = int(self.n_samples)
+        if isinstance(self.n_samples, bool):
+            raise TypeError("n_samples must be an integer, got a bool")
+        n = operator.index(self.n_samples)
         if n < 1:
             raise ValueError("n_samples must be >= 1")
         object.__setattr__(self, "n_samples", n)

@@ -82,14 +82,11 @@ def _products(spectrum, bank: FilterBank) -> np.ndarray:
 
 def _conj(values) -> np.ndarray:
     """conj(values) as a new complex array. Real band values stand for
-    complex ones with imaginary part +0.0, so their conjugate is (c, -0.0):
-    multiplying by the float c itself would take it as (c, +0.0), and flip
-    the sign of a product's zero part."""
-    if values.dtype == complex:
-        return np.conj(values)
-    out = np.empty(values.shape, complex)
-    out.real, out.imag = values, -0.0
-    return out
+    complex ones with imaginary part +0.0, so they are promoted first and
+    their conjugate is (c, -0.0): multiplying by the float c itself would
+    take it as (c, +0.0), and flip the sign of a product's zero part."""
+    out = values.astype(complex)
+    return np.conjugate(out, out=out)
 
 
 def dual_bank(bank: FilterBank, epsilon: float = DEFAULT_EPSILON, allow_singular: bool = False) -> FilterBank:
@@ -180,6 +177,5 @@ def inverse_tight(coeffs: EwtCoefficients, bank: FilterBank, frame_bound: float 
     a = float(frame_bound)
     if not 0.0 < a < np.inf:
         raise NonPositiveA(f"frame bound must be finite and > 0, got {a}")
-    # _divide assigns into its divisor by index, so A goes in as a 0-d array
-    acc = _divide(_accumulate(coeffs, bank), np.array(a))
+    acc = _divide(_accumulate(coeffs, bank), a)
     return np.fft.ifft(acc, out=acc)

@@ -278,12 +278,14 @@ def test_every_bank_holds_its_layout(case, family):
             # the dual's squared sum may overflow where S is tiny
             with np.errstate(over="ignore"):
                 banks += [dual, dual_bank(dual, epsilon, allow_singular=True)]
-    # Littlewood-Paley and Gabor filters are real: their sampled band values,
-    # and their duals' quotients, are real floats until spectra are read
+    # Littlewood-Paley and Gabor filters are real: their sampled band values
+    # are real floats until spectra are read; every dual's quotients are
+    # complex, whatever the family
     real = family == "littlewood-paley" or family.startswith("gabor-")
     for b in banks:
+        dtype = float if real and b is bank else complex
         for _, values, zero in b._layout():
-            assert all(part.dtype == (float if real else complex) for part in values)
+            assert all(part.dtype == dtype for part in values)
             assert zero is None or zero.dtype == complex
     for b in banks:
         layout_rule_holds(b)

@@ -81,6 +81,12 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(0)
 
+    @pytest.mark.parametrize("n", [8.9, 8.0, "8", True, np.float64(8.0), np.bool_(True)])
+    def test_rejects_what_is_not_an_integer(self, n):
+        # a float is not truncated to a grid size, and a bool is not a count
+        with pytest.raises(TypeError):
+            FrequencyGrid(n)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 4097])
     def test_order_is_the_ascending_permutation(self, n):
         grid = FrequencyGrid(n)

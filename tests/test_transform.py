@@ -226,7 +226,7 @@ class TestDualBank:
         assert len({_divide(zero, np.array([s])).tobytes() for s in divisors}) == 1
 
     def test_real_values_divide_as_their_complex_values(self):
-        # a real band value c stands for (c, +0.0); its quotient is real, and
+        # a real band value c stands for (c, +0.0); its quotient is complex,
         # (c + 0.0) * (1/S), numpy's complex-by-real formula, not c / S. As in
         # a dual, |c| <= sqrt(S), so that no quotient overflows
         rng = np.random.default_rng(0)
@@ -237,11 +237,12 @@ class TestDualBank:
         values[:4] = 0.0, -0.0, -1.0, 1.0
         with np.errstate(all="raise"):
             got = _divide(values, denom)
-        assert got.dtype == float
-        assert got.astype(complex).tobytes() == _divide(values.astype(complex), denom).tobytes()
+        assert got.dtype == complex
+        assert got.tobytes() == _divide(values.astype(complex), denom).tobytes()
+        assert got.imag.tobytes() == np.zeros(64).tobytes()
         # at normal S too, one rounding differs from two somewhere
         normal = denom >= np.finfo(float).tiny
-        assert got[normal].tobytes() != (values[normal] / denom[normal]).tobytes()
+        assert got.real[normal].tobytes() != (values[normal] / denom[normal]).tobytes()
 
     def test_tight_bank_is_self_dual(self, grid_partition):
         bank = make_bank(grid_partition, "littlewood-paley", 1024)

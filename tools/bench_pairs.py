@@ -1,4 +1,4 @@
-"""Alternating parent/change benchmark pairs, and the band-storage probe.
+"""Alternating parent/change benchmark pairs, and the large-N CLI probe.
 
 Pairs: runs ``perfbench/run.py --workload W --seed S --seconds 25 --trace 0``
 in two source checkouts, one pair per seed, the change first in even pairs
@@ -8,15 +8,6 @@ metrics and in-process slot medians (from ``.perfbench/``) and prints, per
 metric, each side's median and quartiles and the pairs the change won:
 
     python3 tools/bench_pairs.py pairs PARENT CHANGE stream 24001 24002 ... > stream.json
-
-Probe: in each checkout, the stream workload's four K=33, N=2^16 banks (set
-up as its ``setup`` does, boundaries from ``numpy.random.default_rng(seed)``):
-each sampled bank's band-storage bytes, and the median and minimum over
-REPEATS passes over its dual's ``_layout()``, in ms. It runs ROUNDS fresh
-processes per checkout, alternating which goes first, and reports each
-round, the median over rounds and the fastest pass of all:
-
-    python3 tools/bench_pairs.py probe PARENT CHANGE --seed 24000 > probe.json
 
 Large-N CLI probe: ``forward --raw``, ``inverse`` (CSV out) and ``roundtrip
 --raw`` at N=2^20, and ``filters`` and ``roundtrip`` (a ``re,im`` CSV signal)
@@ -52,35 +43,6 @@ import numpy as np
 
 METRICS = ("ops_per_s", "op_s_p50", "op_s_p90", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"ops_per_s"}
-REPEATS, ROUNDS = 15, 6
-
-PROBE = r"""
-import json, statistics, sys, time
-import numpy as np
-sys.path[:0] = ["src", "perfbench"]
-import workloads
-
-seed, repeats = int(sys.argv[1]), int(sys.argv[2])
-stream = workloads.Stream(False)
-banks = stream.setup(stream.inputs(np.random.default_rng(seed), None))
-out = {}
-for family, (bank, dual) in zip(stream.families, banks):
-    values = next(bank._layout())[1][0]
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _band, parts, _zero in dual._layout():
-            pass
-        times.append(time.perf_counter() - t0)
-    out[family] = {
-        "band_storage_mb": (values.base if values.base is not None else values).nbytes / 1e6,
-        "band_dtype": str(values.dtype),
-        "dual_layout_ms_median": 1e3 * statistics.median(times),
-        "dual_layout_ms_min": 1e3 * min(times),
-    }
-print(json.dumps(out))
-"""
-
 
 JOB = r"""
 import sys
@@ -233,29 +195,6 @@ def pairs(parent: Path, change: Path, workload: str, seeds) -> dict:
     }
 
 
-def probe(parent: Path, change: Path, seed: int) -> dict:
-    rows = {"parent": [], "change": []}
-    for i in range(ROUNDS):
-        sides = (("change", change), ("parent", parent))
-        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-            done = subprocess.run([sys.executable, "-c", PROBE, str(seed), str(REPEATS)],
-                                  cwd=checkout, capture_output=True, text=True, check=True)
-            rows[side].append(json.loads(done.stdout))
-    out = {"seed": seed, "repeats": REPEATS, "rounds": ROUNDS}
-    for side, runs in rows.items():
-        out[side] = {
-            family: {
-                "band_storage_mb": runs[0][family]["band_storage_mb"],
-                "band_dtype": runs[0][family]["band_dtype"],
-                "dual_layout_ms_median": statistics.median(r[family]["dual_layout_ms_median"] for r in runs),
-                "dual_layout_ms_min": min(r[family]["dual_layout_ms_min"] for r in runs),
-                "dual_layout_ms_median_by_round": [r[family]["dual_layout_ms_median"] for r in runs],
-            }
-            for family in runs[0]
-        }
-    return out
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,10 +203,6 @@ def main(argv=None):
     p.add_argument("change", type=Path)
     p.add_argument("workload", choices=("stream", "design", "cli"))
     p.add_argument("seeds", type=int, nargs="+")
-    q = sub.add_parser("probe")
-    q.add_argument("parent", type=Path)
-    q.add_argument("change", type=Path)
-    q.add_argument("--seed", type=int, default=0)
     c = sub.add_parser("cli-large")
     c.add_argument("parent", type=Path)
     c.add_argument("change", type=Path)
@@ -276,8 +211,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "pairs":
         result = pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.seeds)
-    elif args.command == "probe":
-        result = probe(args.parent.resolve(), args.change.resolve(), args.seed)
     else:
         result = cli_large(args.parent.resolve(), args.change.resolve(), args.rounds, args.tiny)
     print(json.dumps(result, indent=1))
