@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as formats
 from .errors import EwtError, InputFormatError, ShapeMismatch, SingularFrame
-from .families import _fill
+from .families import _fill, _zeros
 from .frame_analysis import frame_report
 from .partition import build_partition
 from .transform import EwtCoefficients, dual_bank, forward, inverse, inverse_tight
@@ -122,7 +122,7 @@ def cmd_filters(args) -> int:
     config, bank = _load_job(args)
     header, columns, order = ["xi"], [bank.grid._sorted_xi], bank.grid.order
     for n, layout in zip(bank.support_indices, bank._layout()):
-        row = np.zeros(order.size, dtype=complex)
+        row = _zeros(order.size)
         _fill(row, *layout)
         row = row[order]
         header += [f"f{n}_re", f"f{n}_im"]

@@ -10,6 +10,7 @@ API uniformity, but a sampled bank stores their band values as floats.
 """
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -126,6 +127,12 @@ class FilterBank:
     bank and its spectra never hold the values twice. So a caller that
     reads the spectra of a large bank holds one dense array; without the
     re-pointing, the design benchmark's ``peak_rss_mb`` rose past its bound.
+    The array is a private map from :func:`_zeros`, so it needs POSIX
+    ``mmap``: numpy advises huge pages for every allocation of 4 MiB or
+    more, which would make a whole 2 MiB page resident around each band,
+    where the map holds only the 4 KiB pages written. Building it takes one
+    page fault per 4 KiB written, up to twice as long for a 2^20 bank whose
+    rows are mostly written.
     """
 
     partition: Partition
@@ -150,7 +157,7 @@ class FilterBank:
     def spectra(self) -> np.ndarray:
         """The K×N filters, read-only (see the class docstring)."""
         grid = self.grid
-        spectra = np.zeros((len(self.bands), grid.n_samples), dtype=complex)
+        spectra = _zeros(len(self.bands), grid.n_samples)
         for row, layout in zip(spectra, self._layout()):
             _fill(row, *layout)
         spectra.setflags(write=False)
@@ -182,10 +189,25 @@ class FilterBank:
             yield self.grid.run_slices(lo, hi), values, zero
 
 
+def _zeros(*shape) -> np.ndarray:
+    """A zeroed complex array of ``shape`` on its own anonymous private map
+    (POSIX ``mmap``), the only array that :func:`_fill` writes into. numpy
+    advises the kernel to back every allocation of 4 MiB or more with 2 MiB
+    huge pages, so ``np.zeros`` would make a whole 2 MiB page resident
+    around every band it fills; here only the 4 KiB pages written to are.
+    Reads of the others map the kernel's zero page, as the map is private,
+    not shared. The price is one page fault per 4 KiB written."""
+    buffer = mmap.mmap(-1, math.prod(shape) * 16, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, complex).reshape(shape)
+
+
 def _fill(row, band, values, zero) -> None:
     """Write one row of a bank's layout onto ``row``, a row of a fresh
-    ``np.zeros`` array: the zero over the whole row, only if one of its bits
-    is set (the row's +0.0 and its pages are left untouched), then the band."""
+    :func:`_zeros` array: the zero over the whole row, only if one of its
+    bits is set (the row's +0.0 and its pages are left untouched), then the
+    band. That array is a private POSIX ``mmap``, not ``np.zeros``, whose
+    huge-page advice from 4 MiB up would make the 2 MiB around each band
+    resident; it costs a page fault per 4 KiB written."""
     if zero is not None and zero.view(np.uint8).any():
         row[...] = zero
     for sl, part in zip(band, values):

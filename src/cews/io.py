@@ -7,6 +7,7 @@ All writers are deterministic: floats are serialized through Python's repr
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -125,10 +126,17 @@ def parse_config(obj, n_samples_override: int = None) -> JobConfig:
 
     family = _one_of("family", _require(obj, "family", str), FAMILIES)
 
-    if n_samples_override is not None:
-        n_samples = int(n_samples_override)
-    else:
+    if n_samples_override is None:
         n_samples = _require(obj, "n_samples", int)
+    else:
+        try:
+            if isinstance(n_samples_override, bool):
+                raise TypeError
+            n_samples = operator.index(n_samples_override)
+        except TypeError:
+            raise InputFormatError(
+                f"n_samples: expected an integer, got {n_samples_override!r}"
+            ) from None
     if not 1 <= n_samples <= MAX_N_SAMPLES:
         raise InputFormatError(f"n_samples: must lie in [1, {MAX_N_SAMPLES}]")
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     DegenerateCenter,
     MultipleInfinities,
@@ -165,13 +167,17 @@ class Partition:
 def build_partition(mode: str, boundary_values) -> Partition:
     """Validate boundary values; the partition derives its sign-based indices.
 
-    Values must be strictly increasing extended reals with at most one -inf
-    (first) and one +inf (last). V mode requires the zero boundary, Vstar mode
-    forbids it and needs at least one finite boundary on each side of zero.
+    Values must be strictly increasing extended reals, not bools, with at
+    most one -inf (first) and one +inf (last). V mode requires the zero
+    boundary, Vstar mode forbids it and needs at least one finite boundary on
+    each side of zero.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    values = [float(v) for v in boundary_values]
+    values = list(boundary_values)
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise TypeError("boundaries must be numbers, got a bool")
+    values = [float(v) for v in values]
     if len(values) < 2:
         raise ValueError("a partition needs at least 2 boundaries")
     if any(math.isnan(v) for v in values):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveA, ShapeMismatch, SingularFrame
-from .families import FilterBank, _Quotients, _divide, _fill
+from .families import FilterBank, _Quotients, _divide, _fill, _zeros
 from .frame_analysis import DEFAULT_EPSILON, _energy, check_epsilon
 
 
@@ -143,7 +143,7 @@ def _accumulate(coeffs: EwtCoefficients, bank: FilterBank) -> np.ndarray:
             # inf or NaN times the out-of-band zero is NaN, whose sign bit
             # depends on how numpy's multiply loop splits the row, so the
             # product is taken over the whole row, as one array
-            filt = np.zeros(n, dtype=complex)
+            filt = _zeros(n)
             _fill(filt, *layout)
             acc += buffer * filt
             continue

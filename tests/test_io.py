@@ -79,6 +79,16 @@ class TestConfig:
         assert parse_config(partial, n_samples_override=128).n_samples == 128
         assert parse_config(BASE_CONFIG, n_samples_override=32).n_samples == 32
 
+    @pytest.mark.parametrize("n", [8.9, 8.0, "8", True, np.bool_(True), np.float64(8.0)])
+    def test_n_samples_override_must_be_an_integer(self, n):
+        # a float is not truncated to a grid size, and a bool is not a count
+        with pytest.raises(InputFormatError, match=r"^n_samples: expected an integer"):
+            parse_config(BASE_CONFIG, n_samples_override=n)
+
+    def test_n_samples_override_takes_an_integer_index(self):
+        n_samples = parse_config(BASE_CONFIG, n_samples_override=np.int64(8)).n_samples
+        assert n_samples == 8 and type(n_samples) is int
+
     def test_type_checks(self):
         with pytest.raises(InputFormatError):
             parse_config({**BASE_CONFIG, "epsilon": -1.0})

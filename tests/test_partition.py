@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -88,6 +89,14 @@ class TestBuild:
     def test_nan_boundary(self):
         with pytest.raises(ValueError, match="NaN"):
             build_partition("Vstar", [-INF, -1.0, math.nan, 1.0, INF])
+
+    @pytest.mark.parametrize(("zero", "one"), [(False, True), (np.False_, np.True_)])
+    def test_bool_boundary(self, zero, one):
+        # False would stand in for the zero boundary, and True for 1.0
+        with pytest.raises(TypeError, match="bool"):
+            build_partition("V", [-INF, zero, 1.0, INF])
+        with pytest.raises(TypeError, match="bool"):
+            build_partition("Vstar", [-INF, -1.0, one, INF])
 
 
 class TestGeometry:

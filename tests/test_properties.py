@@ -69,6 +69,39 @@ def test_lp_is_tight(case):
     assert abs(a - 1.0) <= 1e-12 and abs(b - 1.0) <= 1e-12
 
 
+
+@st.composite
+def v_partitions_without_left_ray(draw):
+    """(partition, grid): a V partition whose first boundary is finite, 1-3
+    finite boundaries on each side of zero at least 0.02 apart, the right
+    ray present or not."""
+    finite = sorted(-v for v in draw(side)) + [0.0] + sorted(draw(side))
+    assume(min(b - a for a, b in zip(finite, finite[1:])) >= 0.02)
+    partition = build_partition("V", finite + [INF] * draw(st.booleans()))
+    return partition, FrequencyGrid(draw(st.integers(32, 400)))
+
+
+@PROPERTY_SETTINGS
+@given(v_partitions_without_left_ray())
+@example((build_partition("V", (-0.5, 0.0, 1.0, INF)), FrequencyGrid(64)))
+def test_lp_is_tight_between_finite_end_boundaries(case):
+    """Without a left ray S falls to 0 below the first boundary, but it never
+    exceeds 1 and is 1 from the end of the first boundary's transition to
+    the start of the last's. The zero boundary's half-width comes from both
+    its neighbours, the first boundary included: from the other one alone,
+    on (-0.5, 0, 1, inf) at N=64, B would be 1.00099."""
+    partition, grid = case
+    params = make_params(partition, "littlewood-paley")
+    bank = sample_bank(partition, params, grid)
+    first, last = partition.boundaries[0], partition.boundaries[-1]
+    covered = grid.xi >= first + params.gamma * abs(first)
+    if last < INF:
+        covered &= grid.xi <= last - params.gamma * abs(last)
+    assert covered.any()
+    assert empirical_bounds(bank)[1] <= 1.0 + 1e-12
+    assert np.abs(sum_squares(bank)[covered] - 1.0).max() <= 1e-12
+
+
 @PROPERTY_SETTINGS
 @given(banks_on_grid(), st.sampled_from(["meyer", "shannon", "gabor-extended"]))
 def test_empirical_bounds_within_analytic(case, family):

@@ -11,6 +11,8 @@ K×N array per bank.
 import copy
 import gc
 import pickle
+import re
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -33,7 +35,7 @@ from cews import (
     sum_squares,
 )
 
-from cews.families import _Quotients
+from cews.families import _Quotients, _fill
 from conftest import INF, holds_dense, whole_rows
 
 N = 2**16
@@ -186,3 +188,97 @@ def test_spectra_become_an_instance_attribute_on_first_read():
         spectra = b.spectra
         assert vars(b)["spectra"] is spectra and b.spectra is spectra
         assert not spectra.flags.writeable
+
+
+def dense_banks(n):
+    """A Littlewood-Paley, Meyer, Shannon and Gabor bank at n bins, each with
+    its dual, none of whose spectra have been read. The Meyer bank on this V
+    partition has rows whose out-of-band zero is -0.0."""
+    vstar = build_partition("Vstar", [-INF, -2.0, -1.0, -0.5, 0.3, 1.0, 2.0, INF])
+    v = build_partition("V", [-INF, -2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 2.0, INF])
+    grid = FrequencyGrid(n)
+    for partition, family in ((vstar, "littlewood-paley"), (v, "meyer"), (v, "shannon"), (v, "gabor")):
+        if family == "littlewood-paley":
+            params = FamilyParams(family, gamma=0.9 * partition.max_gamma())
+        else:
+            params = FamilyParams(family, gabor_rays="local" if family == "gabor" else None)
+        bank = sample_bank(partition, params, grid)
+        yield family, bank, dual_bank(bank, allow_singular=True)
+
+
+def fills_whole_row(zero):
+    """Whether ``_fill`` writes a row's zero over the whole row: a bit is set."""
+    return zero is not None and zero.view(np.uint8).any()
+
+
+@pytest.mark.parametrize("n", [1, 23, 2**17])
+def test_spectra_are_the_dense_reference(n):
+    for family, bank, dual in dense_banks(n):
+        if family == "meyer" and n > 1:
+            assert any(fills_whole_row(zero) for _, _, zero in bank._layout())
+        references = []
+        for b in (bank, dual):
+            reference = np.zeros((len(b.bands), n), dtype=complex)
+            for row, layout in zip(reference, b._layout()):
+                _fill(row, *layout)
+            references.append(reference)
+        for b, reference in zip((bank, dual), references):
+            spectra = b.spectra
+            assert spectra.dtype == np.complex128 and spectra.flags.c_contiguous
+            assert not spectra.flags.writeable
+            assert spectra.tobytes() == reference.tobytes()
+            for _, values, zero in b._layout():
+                assert all(np.shares_memory(part, spectra) for part in values)
+                assert zero is None or np.shares_memory(zero, spectra)
+
+
+def smaps():
+    """Each mapping in /proc/self/smaps: its address range, Rss and
+    AnonHugePages, in bytes."""
+    mappings = []
+    with open("/proc/self/smaps") as lines:
+        for line in lines:
+            head, *rest = line.split()
+            if not head.endswith(":"):
+                start, end = (int(address, 16) for address in head.split("-"))
+                mappings.append({"start": start, "end": end})
+            elif head in ("Rss:", "AnonHugePages:"):
+                mappings[-1][head[:-1]] = int(rest[0]) * 1024
+    return mappings
+
+
+def thp_mode():
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as mode:
+            return mode.read()
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not re.search(r"\[(madvise|never)\]", thp_mode()),
+    reason="needs Linux with transparent huge pages off or on madvise only",
+)
+def test_spectra_keep_only_the_pages_they_write():
+    """Every page around a band stays unmapped: no huge page backs a view,
+    and its mappings hold at most the bytes written plus one 4 KiB page
+    per band edge. Mappings that the views share with other memory may
+    hold up to those other bytes too."""
+    page = 4096
+    for family, bank, dual in dense_banks(2**17):
+        budget = 0
+        for b in (bank, dual):
+            for band, values, zero in b._layout():
+                if fills_whole_row(zero):
+                    budget += b.grid.n_samples * 16
+                else:
+                    budget += sum(part.size * 16 for part in values)
+                budget += 2 * page * len(band)
+        views = [(s.ctypes.data, s.ctypes.data + s.nbytes) for s in (bank.spectra, dual.spectra)]
+        held = [m for m in smaps() if any(m["start"] < hi and lo < m["end"] for lo, hi in views)]
+        spanned = sum(
+            max(0, min(hi, m["end"]) - max(lo, m["start"])) for m in held for lo, hi in views
+        )
+        other = sum(m["end"] - m["start"] for m in held) - spanned
+        assert sum(m["AnonHugePages"] for m in held) == 0, family
+        assert sum(m["Rss"] for m in held) <= budget + other, family

@@ -4,8 +4,14 @@ Pairs: runs ``perfbench/run.py --workload W --seed S --seconds 25 --trace 0``
 in two source checkouts, one pair per seed, the change first in even pairs
 and the parent first in odd ones, deleting every ``__pycache__`` before each
 run so that each starts as a fresh checkout does. It keeps each run's
-metrics and in-process slot medians (from ``.perfbench/``) and prints, per
-metric, each side's median and quartiles and the pairs the change won:
+end-to-end metrics and in-process slot medians (from ``.perfbench/``). The
+metrics, each with the direction that is better and its bound, are read
+from ``BENCHMARK.json`` (never written). Per metric it prints each side's
+median and quartiles, the pairs the change won, whether a gain could be
+claimed (the change won at least 9 of every 10 pairs and its median beats
+the parent's by more than the parent's interquartile range) and whether
+the change stays within the bound (its median is worse than the parent's
+by no more than that fraction):
 
     python3 tools/bench_pairs.py pairs PARENT CHANGE stream 24001 24002 ... > stream.json
 
@@ -41,8 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-METRICS = ("ops_per_s", "op_s_p50", "op_s_p90", "setup_s", "peak_rss_mb")
-HIGHER_IS_BETTER = {"ops_per_s"}
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 JOB = r"""
 import sys
@@ -143,7 +148,13 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int) -> dict:
+def end_to_end() -> dict:
+    """BENCHMARK.json's end-to-end metrics by name, each with its ``better``
+    ("lower" or "higher") and ``bound``."""
+    return {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def run_benchmark(checkout: Path, workload: str, seed: int, metrics) -> dict:
     for cache in list(checkout.rglob("__pycache__")):
         shutil.rmtree(cache)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -154,33 +165,52 @@ def run_benchmark(checkout: Path, workload: str, seed: int) -> dict:
     return {
         "correct": result["correct"],
         "failed": result["failed"],
-        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        "metrics": {name: result["metrics"][name]["value"] for name in metrics},
         "slot_median_s": record["slot_median_s"],
     }
 
 
+def verdict(a, b, better: str, bound: float) -> dict:
+    """Parent runs ``a`` against change runs ``b``, paired by index, for a
+    metric whose ``better`` direction and ``bound`` BENCHMARK.json gives."""
+    sign = -1.0 if better == "lower" else 1.0
+    parent, change = quartiles(a), quartiles(b)
+    gain = sign * (change["median"] - parent["median"])
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    return {
+        "better": better,
+        "bound": bound,
+        "parent": parent,
+        "change": change,
+        "change_vs_parent": change["median"] / parent["median"] - 1.0,
+        "change_wins": wins,
+        "claim_holds": 10 * wins >= 9 * len(a) and gain > parent["q3"] - parent["q1"],
+        "within_bound": -gain <= bound * abs(parent["median"]),
+        "parent_runs": a,
+        "change_runs": b,
+    }
+
+
 def pairs(parent: Path, change: Path, workload: str, seeds) -> dict:
+    metrics = end_to_end()
     runs = {"parent": [], "change": []}
     order = []
     for i, seed in enumerate(seeds):
         sides = ("change", "parent") if i % 2 == 0 else ("parent", "change")
         order.append(sides[0])
         for side in sides:
-            runs[side].append(run_benchmark(parent if side == "parent" else change, workload, seed))
+            checkout = parent if side == "parent" else change
+            runs[side].append(run_benchmark(checkout, workload, seed, metrics))
             print(workload, seed, side, runs[side][-1]["metrics"], file=sys.stderr)
-    summary = {}
-    for name in METRICS:
-        a = [r["metrics"][name] for r in runs["parent"]]
-        b = [r["metrics"][name] for r in runs["change"]]
-        better = (lambda x, y: x > y) if name in HIGHER_IS_BETTER else (lambda x, y: x < y)
-        summary[name] = {
-            "parent": quartiles(a),
-            "change": quartiles(b),
-            "change_vs_parent": statistics.median(b) / statistics.median(a) - 1.0,
-            "change_wins": sum(better(y, x) for x, y in zip(a, b)),
-            "parent_runs": a,
-            "change_runs": b,
-        }
+    summary = {
+        name: verdict(
+            [r["metrics"][name] for r in runs["parent"]],
+            [r["metrics"][name] for r in runs["change"]],
+            spec["better"],
+            spec["bound"],
+        )
+        for name, spec in metrics.items()
+    }
     slots = sorted(runs["parent"][0]["slot_median_s"], key=lambda s: (len(s), s))
     return {
         "workload": workload,
